@@ -91,8 +91,8 @@ inline constexpr const char* kSiteDeploySelect = "deploy.select";
 /// the loop must absorb and retry. `loop.wakeup` fires per cross-thread
 /// wakeup — an injected kind models a *lost* eventfd/self-pipe write, which
 /// the loop's bounded wait tick must recover from (a completion may be
-/// delayed, never dropped). Neither site exists on the blocking
-/// thread-per-session path, so the blocking fault sweep skips them.
+/// delayed, never dropped). Both are swept with the others over the event
+/// loop (tests/faultinject/fault_sweep_test.cpp).
 inline constexpr const char* kSiteLoopPoll = "loop.poll";
 inline constexpr const char* kSiteLoopWakeup = "loop.wakeup";
 /// Shard-coordinator peer I/O (serve/shard.h), one site per RPC step. Any

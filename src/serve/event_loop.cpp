@@ -18,7 +18,6 @@
 #include "faultinject/faultinject.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/deploy_protocol.h"
 #include "serve/protocol.h"
 #include "util/deadline.h"
 #include "util/logging.h"
@@ -37,7 +36,9 @@ namespace sasynth {
 
 namespace {
 
-/// Same transient-accept classification as the blocking TcpListener path.
+/// accept(2) failures the listener must ride out rather than die on:
+/// resource pressure (fd/buffer exhaustion) or a connection that aborted
+/// while parked in the backlog.
 bool accept_errno_is_transient(int err) {
   return err == ECONNABORTED || err == EMFILE || err == ENFILE ||
          err == ENOBUFS || err == ENOMEM || err == EPROTO;
@@ -128,21 +129,18 @@ struct Waker {
   }
 };
 
-/// Per-connection state machine, loop-thread-only. The read side mirrors
-/// FdLineReader (line framing, trailing line at clean EOF, partial-line drop
-/// on error/timeout); the write side mirrors serve()'s ordered writer (seq ->
-/// ready map, strict in-order emission) plus write_all_fd's partial-write and
-/// fault-site semantics.
+/// Per-connection state machine, loop-thread-only. The read side frames
+/// with the shared session framers (serve/framing.h); the write side mirrors
+/// serve()'s ordered writer (seq -> ready map, strict in-order emission)
+/// plus write_all_fd's partial-write and fault-site semantics.
 struct Connection {
   std::uint64_t id = 0;
   int fd = -1;
 
   // Read side / framing.
-  std::string inbuf;      ///< raw bytes, not yet framed into lines
-  bool in_block = false;  ///< accumulating a request/deploy/shard block
-  SynthServer::BlockKind kind = SynthServer::BlockKind::kSynth;
-  std::string block;        ///< partial block text
-  bool read_closed = false; ///< EOF/error/timeout/drain: input is over
+  LineFramer lines;          ///< raw bytes, not yet framed into lines
+  FrameAssembler frames;     ///< lines, not yet framed into a block
+  bool read_closed = false;  ///< EOF/error/timeout/drain: input is over
 
   // Ordered responses.
   std::uint64_t next_seq = 0;   ///< seqs handed out to submissions/commands
@@ -449,8 +447,8 @@ struct EventLoopServer::Impl {
       if (accept_errno_is_transient(err)) {
         SA_LOG_WARN << "accept: " << std::strerror(err) << ", retrying";
         fault::note_degraded();
-        // Same brief backoff as the blocking listener: under fd exhaustion
-        // an instant retry would spin without a session releasing one.
+        // Brief backoff: under fd exhaustion an instant retry would spin
+        // without a session releasing one.
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         return;
       }
@@ -468,32 +466,33 @@ struct EventLoopServer::Impl {
   /// Ends the read side the way FdLineReader ends on error/timeout: the
   /// buffered partial *line* is dropped (a truncated request must never
   /// reach the parser as if complete), but lines already framed into a
-  /// partial block are submitted — the blocking session does exactly that
-  /// when read_line fails mid-block, and the parse error is the answer.
+  /// partial block are submitted — the parse error is the answer, as it is
+  /// for a block cut off by EOF.
   void end_input(Connection& c) {
-    c.inbuf.clear();
+    c.lines.drop_partial();
     c.read_closed = true;
     c.read_deadline = Deadline();
-    if (c.in_block) submit_block(c);
+    SessionFrame partial;
+    if (c.frames.finish(&partial)) dispatch_frame(c, std::move(partial));
     update_events(c);
     maybe_close(c);
   }
 
   void fail_read_timeout(Connection& c) {
     SA_LOG_WARN << "session read timed out after " << io_timeout_ms
-                << " ms, dropping " << c.inbuf.size() << " buffered bytes";
+                << " ms, dropping " << c.lines.drop_partial()
+                << " buffered bytes";
     LoopMetrics::get().io_timeouts.add(1);
     fault::note_degraded();
     end_input(c);
   }
 
   void handle_eof(Connection& c) {
-    // Clean EOF delivers a trailing unterminated line first (FdLineReader
-    // semantics), then ends input.
-    if (!c.inbuf.empty()) {
+    // Clean EOF delivers a trailing unterminated line first, then ends
+    // input.
+    std::string line;
+    if (c.lines.take_trailing(&line)) {
       const std::uint64_t id = c.id;
-      std::string line = std::move(c.inbuf);
-      c.inbuf.clear();
       dispatch_line(c, line);
       // dispatch_line can reach try_write (bare command) and a failed write
       // destroys the connection — re-resolve before ending input.
@@ -548,7 +547,8 @@ struct EventLoopServer::Impl {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained
         SA_LOG_WARN << "session read error: " << std::strerror(errno)
-                    << ", dropping " << c.inbuf.size() << " buffered bytes";
+                    << ", dropping " << c.lines.drop_partial()
+                    << " buffered bytes";
         fault::note_degraded();
         end_input(c);
         return;
@@ -557,15 +557,15 @@ struct EventLoopServer::Impl {
         handle_eof(c);
         return;
       }
-      c.inbuf.append(chunk, static_cast<std::size_t>(n));
+      c.lines.append(chunk, static_cast<std::size_t>(n));
       if (io_timeout_ms > 0) {
         c.read_deadline = Deadline::after_ms(io_timeout_ms);
       }
-      process_inbuf(id);  // may destroy c; the loop re-resolves by id
+      process_lines(id);  // may destroy c; the loop re-resolves by id
     }
   }
 
-  void process_inbuf(std::uint64_t id) {
+  void process_lines(std::uint64_t id) {
     for (;;) {
       // Re-resolved every iteration: dispatch_line can reach try_write (a
       // bare command answers inline) and a failed response write destroys
@@ -575,14 +575,12 @@ struct EventLoopServer::Impl {
       if (it == conns.end()) return;
       Connection& c = *it->second;
       if (c.read_closed) return;
-      const std::size_t newline = c.inbuf.find('\n');
-      if (newline == std::string::npos) return;
-      std::string line = c.inbuf.substr(0, newline);
-      c.inbuf.erase(0, newline + 1);
+      std::string line;
+      if (!c.lines.next_line(&line)) return;
       dispatch_line(c, line);
       // A `shutdown` command (from any connection) or a concurrent drain
       // stops further dispatch; leftover input is never read, exactly like
-      // the blocking session loop's !stop && !draining guard.
+      // serve()'s !stop && !draining guard.
       if (server.stop_requested() || server.draining()) {
         auto again = conns.find(id);
         if (again != conns.end()) end_input(*again->second);
@@ -591,44 +589,28 @@ struct EventLoopServer::Impl {
     }
   }
 
-  void dispatch_line(Connection& c, const std::string& raw_line) {
-    const std::string command = trim(raw_line);
-    if (c.in_block) {
-      c.block += raw_line + "\n";
-      if (command == kBlockEnd) submit_block(c);
-      return;
-    }
-    if (command.empty()) return;
-    if (command == kRequestMagic || command == kDeployRequestMagic ||
-        command == kShardRequestMagic) {
-      c.in_block = true;
-      c.kind = command == kDeployRequestMagic
-                   ? SynthServer::BlockKind::kDeploy
-               : command == kShardRequestMagic
-                   ? SynthServer::BlockKind::kShard
-                   : SynthServer::BlockKind::kSynth;
-      c.block = command + "\n";
-      return;
-    }
-    // Bare command. `stats`/`shutdown` drain the scheduler *on the loop
-    // thread* — every connection pauses until in-flight work settles. That
-    // is the documented cost of asking for settled counters; `health` stays
-    // instant for exactly this reason.
-    post_local(c, c.next_seq++, server.handle_command(command));
+  void dispatch_line(Connection& c, const std::string& line) {
+    SessionFrame frame;
+    if (c.frames.push(line, &frame)) dispatch_frame(c, std::move(frame));
   }
 
-  void submit_block(Connection& c) {
-    c.in_block = false;
+  void dispatch_frame(Connection& c, SessionFrame frame) {
     const std::uint64_t seq = c.next_seq++;
-    std::string block = std::move(c.block);
-    c.block.clear();
+    if (!frame.is_block) {
+      // Bare command. `stats`/`shutdown` drain the scheduler *on the loop
+      // thread* — every connection pauses until in-flight work settles.
+      // That is the documented cost of asking for settled counters;
+      // `health` stays instant for exactly this reason.
+      post_local(c, seq, server.handle_command(frame.text));
+      return;
+    }
     // The post closure owns only (waker, id, seq): the connection may be
     // long gone when a slow DSE completes, and a completion for a dead id is
     // dropped at the loop, never dereferenced.
     std::shared_ptr<Waker> w = waker;
     const std::uint64_t id = c.id;
     server.submit_session_block(
-        std::move(block), c.kind, seq,
+        std::move(frame.text), frame.kind, seq,
         [w, id](std::uint64_t s, std::string response) {
           w->post(id, s, std::move(response));
         });
@@ -744,8 +726,8 @@ struct EventLoopServer::Impl {
     listener.close_listener();  // closing also deregisters it from epoll
     server.begin_drain();
     // Stop reading everywhere; sessions finish in-flight work and flush.
-    // Mid-frame input ends the way a blocking drain ends it: the partial
-    // block is submitted and the parse error is the final answer.
+    // Mid-frame input ends as at EOF: the partial block is submitted and
+    // the parse error is the final answer.
     std::vector<std::uint64_t> ids;
     ids.reserve(conns.size());
     for (const auto& [id, conn] : conns) ids.push_back(id);

@@ -1,10 +1,11 @@
 // Single-threaded event-loop TCP transport for the synthesis service: the
-// scalable replacement for thread-per-session sasynthd serving.
+// one TCP transport `sasynthd --port` serves on.
 //
 // One loop thread owns every connection: non-blocking accept, per-connection
-// read/write state machines (line framing identical to FdLineReader, ordered
-// per-session responses identical to serve()'s writer thread), with request
-// execution still dispatched through the SynthServer's scheduler/ThreadPool.
+// read/write state machines (session framing from serve/framing.h, the same
+// framers FdLineReader and serve() use; ordered per-session responses like
+// serve()'s writer thread), with request execution dispatched through the
+// SynthServer's scheduler/ThreadPool.
 // Completed responses are handed back to the loop over a mutex-guarded
 // completion queue plus an eventfd wakeup (self-pipe where eventfd does not
 // exist), so pool workers never touch connection state — connections are
@@ -13,8 +14,8 @@
 // On Linux the poller is epoll; elsewhere (or with
 // -DSASYNTH_EVENT_LOOP_FORCE_POLL for testing the fallback) it is poll(2)
 // over the same state machine. Both honor the server's --io-timeout on each
-// direction of every connection, fire the same tcp.read/tcp.write fault
-// sites with the same kind semantics as the blocking transport, and add two
+// direction of every connection, fire the tcp.read/tcp.write fault sites
+// with the same kind semantics as FdLineReader/write_all_fd, and add two
 // loop-specific sites: `loop.poll` (transient poller failure, absorbed and
 // retried) and `loop.wakeup` (a lost cross-thread wakeup, recovered by the
 // loop's bounded <=250 ms wait tick — a completion may be delayed, never
@@ -22,8 +23,9 @@
 //
 // Determinism invariant (docs/ARCHITECTURE.md): the transport orders bytes,
 // it never computes. Every response byte comes from SynthServer::handle /
-// handle_deploy / handle_command, so responses are byte-identical to the
-// blocking transport at any connection count, interleaving, or cache state.
+// handle_deploy / handle_shard / handle_command, so responses are
+// byte-identical to a direct handle() call (and to stdio serving) at any
+// connection count, interleaving, or cache state.
 #pragma once
 
 #include <atomic>

@@ -43,12 +43,7 @@ struct SchedMetrics {
 }  // namespace
 
 RequestScheduler::RequestScheduler(int jobs, std::int64_t queue_limit)
-    // inline_single = false: try_submit must never execute the request on
-    // the caller. The caller is the event-loop thread (or a stdio reader),
-    // and an inline DSE would block every other session — which is exactly
-    // what happens at jobs == 1, the default resolution on a 1-core host.
-    : queue_limit_(std::max<std::int64_t>(1, queue_limit)),
-      pool_(jobs, /*inline_single=*/false) {}
+    : queue_limit_(std::max<std::int64_t>(1, queue_limit)), pool_(jobs) {}
 
 Admission RequestScheduler::try_submit(Work work, Deadline deadline,
                                        CancelToken token) {

@@ -34,8 +34,8 @@ enum class Admission { kAccepted, kQueueFull, kExpired };
 class RequestScheduler {
  public:
   /// `jobs` resolves like ThreadPool (0 = SASYNTH_JOBS env, then hardware);
-  /// 1 runs every request inline on the submitting session thread.
-  /// `queue_limit` < 1 is clamped to 1.
+  /// requests run on the pool's workers, never on the submitting thread,
+  /// even at 1. `queue_limit` < 1 is clamped to 1.
   RequestScheduler(int jobs, std::int64_t queue_limit);
 
   RequestScheduler(const RequestScheduler&) = delete;

@@ -536,7 +536,6 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   // is noise next to a DSE or fleet selection. The same parse yields the
   // canonical text — the singleflight key, identical to the DesignCache key
   // material, so both dedup layers agree on what "the same request" means.
-  const bool is_deploy = kind == BlockKind::kDeploy;
   std::int64_t budget_ms = -1;
   std::int64_t requested_ms = -1;
   bool peek_ok = false;
@@ -547,7 +546,7 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
     const ParsedShardRequest peek = parse_shard_request_block(block);
     peek_ok = peek.ok;
     requested_ms = peek.request.request.deadline_ms;
-  } else if (is_deploy) {
+  } else if (kind == BlockKind::kDeploy) {
     const ParsedDeployRequest peek = parse_deploy_request_block(block);
     peek_ok = peek.ok;
     requested_ms = peek.request.deadline_ms;
@@ -577,10 +576,9 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   if (coalescible) {
     const SingleFlight::Role role = singleflight_.join(
         canonical,
-        [this, block, is_deploy, seq, token, post](
-            const std::string& response, bool shared) {
-          deliver_coalesced(block, is_deploy, seq, token, post, response,
-                            shared);
+        [this, block, kind, seq, token, post](const std::string& response,
+                                              bool shared) {
+          deliver_coalesced(block, kind, seq, token, post, response, shared);
         });
     if (role == SingleFlight::Role::kFollower) {
       // No scheduler slot, no DSE: the leader's completion answers this seq
@@ -668,7 +666,7 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   }
 }
 
-void SynthServer::deliver_coalesced(const std::string& block, bool is_deploy,
+void SynthServer::deliver_coalesced(const std::string& block, BlockKind kind,
                                     std::uint64_t seq,
                                     const CancelToken& token,
                                     const PostResponse& post,
@@ -711,7 +709,8 @@ void SynthServer::deliver_coalesced(const std::string& block, bool is_deploy,
   // re-execution that completes populates the DesignCache for the rest.
   std::string own;
   try {
-    own = is_deploy ? handle_deploy(block, token) : handle(block, token);
+    own = kind == BlockKind::kDeploy ? handle_deploy(block, token)
+                                     : handle(block, token);
   } catch (const std::exception& e) {
     counters_.errors.fetch_add(1);
     sm.errors.add(1);
@@ -822,28 +821,24 @@ void SynthServer::serve(const LineSource& read_line,
     }
   });
 
+  // Stop and drain are checked between frames only: a block already begun
+  // is read to its `end` (or EOF, whose partial block finish() submits).
+  FrameAssembler frames;
+  SessionFrame frame;
   std::string line;
-  while (!stop_.load() && !draining_.load() && read_line(&line)) {
-    const std::string command = trim(line);
-    if (command.empty()) continue;
-
-    if (command == kRequestMagic || command == kDeployRequestMagic ||
-        command == kShardRequestMagic) {
-      const BlockKind kind = command == kDeployRequestMagic
-                                 ? BlockKind::kDeploy
-                             : command == kShardRequestMagic
-                                 ? BlockKind::kShard
-                                 : BlockKind::kSynth;
-      std::string block = command + "\n";
-      while (read_line(&line)) {
-        block += line + "\n";
-        if (trim(line) == kBlockEnd) break;
-      }
-      submit_session_block(std::move(block), kind, next_seq++, post);
+  while ((frames.in_block() || (!stop_.load() && !draining_.load())) &&
+         read_line(&line)) {
+    if (!frames.push(line, &frame)) continue;
+    if (frame.is_block) {
+      submit_session_block(std::move(frame.text), frame.kind, next_seq++,
+                           post);
     } else {
-      post(next_seq++, handle_command(command));
-      if (command == "shutdown") break;
+      post(next_seq++, handle_command(frame.text));
+      if (frame.text == "shutdown") break;
     }
+  }
+  if (frames.finish(&frame)) {
+    submit_session_block(std::move(frame.text), frame.kind, next_seq++, post);
   }
 
   scheduler_.drain();

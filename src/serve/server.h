@@ -17,6 +17,7 @@
 
 #include "serve/deploy_protocol.h"
 #include "serve/design_cache.h"
+#include "serve/framing.h"
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
 #include "serve/shard.h"
@@ -27,8 +28,8 @@
 namespace sasynth {
 
 struct ServeOptions {
-  /// Worker threads shared by all sessions (ThreadPool resolution rules;
-  /// 1 = inline, deterministic single-thread serving).
+  /// Worker threads shared by all sessions (ThreadPool resolution rules).
+  /// Requests always run on these workers, never on the session's thread.
   int jobs = 0;
   /// Admission bound: in-flight requests beyond this are refused with a
   /// retry response instead of queuing (explicit backpressure).
@@ -47,7 +48,7 @@ struct ServeOptions {
   /// Deadline applied to requests that carry no deadline_ms field, in
   /// milliseconds; 0 = none (requests without a deadline run unbounded).
   std::int64_t default_deadline_ms = 0;
-  /// Transport read/write timeout for fd-based sessions (serve_fd_session),
+  /// Transport read/write timeout for TCP sessions (serve/event_loop.h),
   /// milliseconds; 0 = no timeout. A stalled client (slow-loris) loses its
   /// session when the timer fires — the daemon and every other session keep
   /// going.
@@ -135,10 +136,11 @@ class SynthServer {
                            CancelToken cancel);
 
   /// Runs one session: frames request blocks and commands from `read_line`
-  /// (false = EOF), fans requests through the scheduler, and emits responses
-  /// through `write_response` in request order from a dedicated writer
-  /// thread. Returns after EOF or `shutdown`, with all accepted work drained
-  /// and flushed. Multiple sessions may run concurrently on one server.
+  /// (false = EOF) with FrameAssembler, fans requests through the
+  /// scheduler, and emits responses through `write_response` in request
+  /// order from a dedicated writer thread. Returns after EOF or `shutdown`,
+  /// with all accepted work drained and flushed. The stdio transport; TCP
+  /// sessions run on the event loop instead.
   void serve(const LineSource& read_line, const ResponseSink& write_response);
 
   /// Delivers the response for one session sequence number. May be invoked
@@ -147,36 +149,21 @@ class SynthServer {
   using PostResponse =
       std::function<void(std::uint64_t seq, std::string response)>;
 
-  /// What a session block is, decided by its magic line at framing time.
-  enum class BlockKind {
-    kSynth,   ///< sasynth-request v1
-    kDeploy,  ///< sasynth-deploy v1
-    kShard,   ///< sasynth-shard v1 (worker side of the shard tier)
-  };
-
-  /// Session-block admission shared by the blocking serve() session and the
-  /// event loop (serve/event_loop.h): resolves the request's end-to-end
-  /// budget (explicit deadline_ms wins, else --default-deadline, else
-  /// unbounded), coalesces identical in-flight requests through the
-  /// singleflight table, and submits leaders through the scheduler. `post`
-  /// is called exactly once with the response for `seq` — possibly before
-  /// this returns (inline execution, admission refusal) and possibly on
-  /// another thread. A coalesced follower costs no scheduler slot; it is
-  /// answered from the leader's completion (shareable verdicts) or by
-  /// re-executing under its own cancel token (the leader timed out — a
-  /// timeout reflects the leader's budget, never the follower's). Shard
-  /// blocks are never coalesced: two windows of one request are distinct
-  /// work, and the coordinator already dedups at the request level.
+  /// Session-block admission shared by serve() and the event loop
+  /// (serve/event_loop.h): resolves the request's end-to-end budget
+  /// (explicit deadline_ms wins, else --default-deadline, else unbounded),
+  /// coalesces identical in-flight requests through the singleflight table,
+  /// and submits leaders through the scheduler. `post` is called exactly
+  /// once with the response for `seq` — possibly before this returns
+  /// (admission refusal) and possibly on another thread. A coalesced
+  /// follower costs no scheduler slot; it is answered from the leader's
+  /// completion (shareable verdicts) or by re-executing under its own cancel
+  /// token (the leader timed out — a timeout reflects the leader's budget,
+  /// never the follower's). Shard blocks are never coalesced: two windows of
+  /// one request are distinct work, and the coordinator already dedups at
+  /// the request level.
   void submit_session_block(std::string block, BlockKind kind,
                             std::uint64_t seq, PostResponse post);
-
-  /// Back-compat spelling (pre-shard callers and tests): true = deploy.
-  void submit_session_block(std::string block, bool is_deploy,
-                            std::uint64_t seq, PostResponse post) {
-    submit_session_block(std::move(block),
-                         is_deploy ? BlockKind::kDeploy : BlockKind::kSynth,
-                         seq, std::move(post));
-  }
 
   /// Dispatches one bare protocol command (`ping`, `health`, `stats`,
   /// `stats --format=prom|json`, `shutdown`, or unknown) and returns its
@@ -214,7 +201,7 @@ class SynthServer {
 
  private:
   /// Follower-side delivery of a completed flight (see submit_session_block).
-  void deliver_coalesced(const std::string& block, bool is_deploy,
+  void deliver_coalesced(const std::string& block, BlockKind kind,
                          std::uint64_t seq, const CancelToken& token,
                          const PostResponse& post, const std::string& response,
                          bool shared);

@@ -285,8 +285,8 @@ ShardCoordinator::ShardCoordinator(ShardOptions options)
           ? std::min<std::int64_t>(options_.io_timeout_ms, 2000)
           : 2000;
   health_ = std::make_unique<PeerHealthRegistry>(options_.peers, health_opts);
-  rpc_pool_ = std::make_unique<ThreadPool>(
-      static_cast<int>(options_.peers.size()), /*inline_single=*/false);
+  rpc_pool_ =
+      std::make_unique<ThreadPool>(static_cast<int>(options_.peers.size()));
   health_->start_prober();
 }
 

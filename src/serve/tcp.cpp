@@ -1,34 +1,26 @@
 #include "serve/tcp.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <thread>
 
 #include "faultinject/faultinject.h"
 #include "obs/metrics.h"
+#include "util/deadline.h"
 #include "util/logging.h"
 
 namespace sasynth {
 
 namespace {
-
-/// accept(2) failures the listener must ride out rather than die on:
-/// resource pressure (fd/buffer exhaustion) or a connection that aborted
-/// while parked in the backlog.
-bool accept_errno_is_transient(int err) {
-  return err == ECONNABORTED || err == EMFILE || err == ENFILE ||
-         err == ENOBUFS || err == ENOMEM || err == EPROTO;
-}
 
 /// Transport-level timeout counter (docs/OBSERVABILITY.md): reads and
 /// writes that gave up after --io-timeout.
@@ -38,25 +30,20 @@ obs::Counter& io_timeouts_counter() {
   return *c;
 }
 
-enum class WaitResult { kReady, kTimeout, kAbort };
-
-/// Parks in poll() until `fd` is ready for `events`, the deadline passes, or
-/// `abort` turns true. ~250 ms ticks so the abort predicate is honored even
-/// with no timeout configured. poll() errors other than EINTR report kReady
-/// and let the actual read/send surface the errno.
-WaitResult wait_fd(int fd, short events, const Deadline& deadline,
-                   const std::function<bool()>& abort) {
+/// Parks in poll() until `fd` is ready for `events` (true) or `deadline`
+/// passes (false). poll() errors other than EINTR report ready and let the
+/// actual read/send surface the errno.
+bool wait_fd(int fd, short events, const Deadline& deadline) {
   for (;;) {
-    if (abort && abort()) return WaitResult::kAbort;
-    if (deadline.expired()) return WaitResult::kTimeout;
-    const int tick = static_cast<int>(std::max<std::int64_t>(
-        1, std::min<std::int64_t>(250, deadline.remaining_ms())));
+    if (deadline.expired()) return false;
     pollfd p{};
     p.fd = fd;
     p.events = events;
-    const int r = ::poll(&p, 1, tick);
-    if (r > 0) return WaitResult::kReady;  // ready, or POLLHUP/POLLERR
-    if (r < 0 && errno != EINTR) return WaitResult::kReady;
+    const int r = ::poll(&p, 1,
+                         static_cast<int>(std::min<std::int64_t>(
+                             deadline.remaining_ms(), INT_MAX)));
+    if (r > 0) return true;  // ready, or POLLHUP/POLLERR
+    if (r < 0 && errno != EINTR) return true;
   }
 }
 
@@ -106,83 +93,36 @@ bool TcpListener::listen_on(int port, std::string* error) {
     port_ = ntohs(addr.sin_port);
   }
   // Publish only a fully set-up listener; error paths never expose the fd.
-  fd_.store(fd, std::memory_order_release);
+  fd_ = fd;
   return true;
 }
 
-int TcpListener::accept_client() {
-  static fault::Site& accept_site = fault::site(fault::kSiteTcpAccept);
-  for (;;) {
-    // Re-load each attempt: close_listener() from another thread swaps the
-    // fd out atomically, and the retry paths below must observe that.
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) return -1;
-    int err;
-    if (accept_site.fire() != fault::ErrorKind::kNone) {
-      err = ECONNABORTED;  // every injected kind acts as a transient failure
-    } else {
-      const int client = ::accept(fd, nullptr, nullptr);
-      if (client >= 0) return client;
-      err = errno;
-    }
-    if (err == EINTR) continue;
-    if (accept_errno_is_transient(err)) {
-      SA_LOG_WARN << "accept: " << std::strerror(err) << ", retrying";
-      fault::note_degraded();
-      // Brief backoff: under fd exhaustion an immediate retry would spin
-      // without giving any session a chance to release one.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    // EBADF/EINVAL is the normal close_listener() path; anything else gets
-    // its errno into the log instead of a silent -1.
-    if (err != EBADF && err != EINVAL) {
-      SA_LOG_ERROR << "accept: " << std::strerror(err)
-                   << ", stopping the accept loop";
-    }
-    return -1;
-  }
-}
-
 void TcpListener::close_listener() {
-  // exchange() makes close idempotent and race-free against a concurrent
-  // accept_client: exactly one caller wins the fd and closes it.
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    // shutdown() unblocks a thread parked in accept() before close().
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 bool FdLineReader::read_line(std::string* out) {
   static fault::Site& read_site = fault::site(fault::kSiteTcpRead);
-  // A timeout ends the stream exactly like a read error (buffered prefix
-  // dropped, failed() true) plus the timed_out() mark and its counter.
-  auto fail_timeout = [&] {
-    SA_LOG_WARN << "session read timed out after " << timeout_ms_
-                << " ms, dropping " << buffer_.size() << " buffered bytes";
-    io_timeouts_counter().add(1);
+  // A read error or timeout ends the stream with failed() true; the caller
+  // has already logged and dropped the buffered prefix.
+  auto end_failed = [&] {
     fault::note_degraded();
     failed_ = true;
-    timed_out_ = true;
     eof_ = true;
-    buffer_.clear();
     return false;
   };
+  // A timeout is a read error plus its counter.
+  auto fail_timeout = [&] {
+    SA_LOG_WARN << "session read timed out after " << timeout_ms_
+                << " ms, dropping " << lines_.drop_partial()
+                << " buffered bytes";
+    io_timeouts_counter().add(1);
+    return end_failed();
+  };
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      *out = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return true;
-    }
-    if (eof_) {
-      if (buffer_.empty()) return false;
-      *out = std::move(buffer_);
-      buffer_.clear();
-      return true;
-    }
+    if (lines_.next_line(out)) return true;
+    if (eof_) return lines_.take_trailing(out);
     char chunk[4096];
     std::size_t want = sizeof(chunk);
     ssize_t n;
@@ -196,28 +136,13 @@ bool FdLineReader::read_line(std::string* out) {
     }
     switch (injected) {
       case fault::ErrorKind::kNone:
-      case fault::ErrorKind::kStall: {
-        if (timeout_ms_ > 0 || abort_) {
-          const Deadline deadline = timeout_ms_ > 0
-                                        ? Deadline::after_ms(timeout_ms_)
-                                        : Deadline();
-          switch (wait_fd(fd_, POLLIN, deadline, abort_)) {
-            case WaitResult::kTimeout:
-              return fail_timeout();
-            case WaitResult::kAbort:
-              // Server-initiated (drain/shutdown): a clean end of input, not
-              // a transport failure — but a half-read request still must
-              // not reach the parser.
-              eof_ = true;
-              buffer_.clear();
-              return false;
-            case WaitResult::kReady:
-              break;
-          }
+      case fault::ErrorKind::kStall:
+        if (timeout_ms_ > 0 &&
+            !wait_fd(fd_, POLLIN, Deadline::after_ms(timeout_ms_))) {
+          return fail_timeout();
         }
         n = ::read(fd_, chunk, want);
         break;
-      }
       case fault::ErrorKind::kEintr:
         n = -1;
         errno = EINTR;
@@ -240,17 +165,14 @@ bool FdLineReader::read_line(std::string* out) {
       // line would hand the parser a truncated request, so drop it and
       // report failure through failed().
       SA_LOG_WARN << "session read error: " << std::strerror(errno)
-                  << ", dropping " << buffer_.size() << " buffered bytes";
-      fault::note_degraded();
-      failed_ = true;
-      eof_ = true;
-      buffer_.clear();
-      return false;
+                  << ", dropping " << lines_.drop_partial()
+                  << " buffered bytes";
+      return end_failed();
     }
     if (n == 0) {
       eof_ = true;
     } else {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+      lines_.append(chunk, static_cast<std::size_t>(n));
     }
   }
 }
@@ -280,8 +202,7 @@ bool write_all_fd(int fd, const std::string& data, std::int64_t timeout_ms) {
       return false;
     }
     if (timeout_ms > 0 &&
-        wait_fd(fd, POLLOUT, Deadline::after_ms(timeout_ms), nullptr) ==
-            WaitResult::kTimeout) {
+        !wait_fd(fd, POLLOUT, Deadline::after_ms(timeout_ms))) {
       io_timeouts_counter().add(1);
       fault::note_degraded();
       errno = ETIMEDOUT;
@@ -304,43 +225,6 @@ bool write_all_fd(int fd, const std::string& data, std::int64_t timeout_ms) {
     written += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-void serve_fd_session(SynthServer& server, int fd) {
-  const std::int64_t io_timeout_ms = server.options().io_timeout_ms;
-  if (io_timeout_ms > 0) {
-    // Timed writes need a nonblocking fd: poll(POLLOUT) promises only *some*
-    // send-buffer space, and a blocking send() of more than that would wedge
-    // past the timeout. The read path polls before every read, so it never
-    // sees a spurious EAGAIN it can't handle.
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  FdLineReader reader(fd, io_timeout_ms, [&server] {
-    return server.stop_requested() || server.draining();
-  });
-  std::atomic<bool> write_failed{false};
-  server.serve(
-      [&](std::string* line) {
-        // After a failed write the peer cannot receive answers, so reading
-        // further requests would only do work nobody collects.
-        if (write_failed.load(std::memory_order_relaxed)) return false;
-        return reader.read_line(line);
-      },
-      [fd, io_timeout_ms, &write_failed](const std::string& response) {
-        if (write_failed.load(std::memory_order_relaxed)) return;
-        if (!write_all_fd(fd, response, io_timeout_ms)) {
-          // First failed write ends the session: no retries into a dead
-          // peer, and shutdown() unblocks the session thread if it is
-          // parked in read(2) waiting for the next request.
-          SA_LOG_WARN << "session write failed (" << std::strerror(errno)
-                      << "), ending session";
-          fault::note_degraded();
-          write_failed.store(true, std::memory_order_relaxed);
-          ::shutdown(fd, SHUT_RDWR);
-        }
-      });
-  ::close(fd);
 }
 
 }  // namespace sasynth

@@ -1,4 +1,6 @@
-// Minimal POSIX TCP transport for the synthesis service.
+// POSIX socket I/O for the synthesis service: the listener the event loop
+// (serve/event_loop.h) accepts from, and the line reader and writer that
+// stdio serving, the shard client and the peer prober use.
 //
 // The daemon binds the loopback interface only: sasynthd speaks an
 // unauthenticated text protocol, so exposure beyond the host is a deployment
@@ -7,13 +9,10 @@
 // client/server pair without colliding.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
-#include "serve/server.h"
-#include "util/deadline.h"
+#include "serve/framing.h"
 
 namespace sasynth {
 
@@ -33,42 +32,31 @@ class TcpListener {
   int port() const { return port_; }
 
   /// The listening fd (-1 before listen_on / after close_listener). The
-  /// event loop registers it with its poller for non-blocking accepts; the
-  /// blocking path never needs it.
-  int fd() const { return fd_.load(std::memory_order_acquire); }
+  /// event loop registers it with its poller for non-blocking accepts.
+  int fd() const { return fd_; }
 
-  /// Blocks for the next client; returns its fd, or -1 once the listener is
-  /// closed (the shutdown path) or on a fatal error.
-  int accept_client();
-
-  /// Closes the listening socket; unblocks accept_client. Idempotent and
-  /// safe to call while another thread is blocked in accept_client (the fd
-  /// handoff is atomic — exactly one caller closes).
+  /// Closes the listening socket. Idempotent.
   void close_listener();
 
  private:
-  std::atomic<int> fd_{-1};
+  int fd_ = -1;
   int port_ = 0;
 };
 
-/// Buffered line reader over a socket/pipe fd. Lines are '\n'-terminated;
-/// a trailing unterminated line is delivered at clean EOF. A read *error* is
-/// different from EOF: any buffered partial line is dropped (a truncated
-/// request must never reach the parser as if it were complete), read_line
-/// returns false, and failed() reports true.
+/// Buffered line reader over a socket, pipe or regular-file fd, framed by
+/// LineFramer: a trailing unterminated line is delivered at clean EOF. A
+/// read *error* is different from EOF: any buffered partial line is dropped
+/// (a truncated request must never reach the parser as if it were
+/// complete), read_line returns false, and failed() reports true.
 ///
-/// With `timeout_ms` > 0 the reader waits in ~250 ms poll() ticks and gives
-/// up once no byte has arrived for that long (the slow-loris guard: a client
-/// holding a half-sent request cannot park a session thread forever). A
-/// timeout counts in `io_timeouts_total` and ends the stream like a read
-/// error. The optional `abort` predicate is checked every tick; when it
-/// returns true the stream ends as a clean EOF — how a draining daemon
-/// unparks sessions blocked on idle clients.
+/// With `timeout_ms` > 0 the reader polls before every read and gives up
+/// once no byte has arrived for that long (a peer that went silent cannot
+/// park its caller forever). A timeout counts in `io_timeouts_total` and
+/// ends the stream like a read error.
 class FdLineReader {
  public:
-  explicit FdLineReader(int fd, std::int64_t timeout_ms = 0,
-                        std::function<bool()> abort = {})
-      : fd_(fd), timeout_ms_(timeout_ms), abort_(std::move(abort)) {}
+  explicit FdLineReader(int fd, std::int64_t timeout_ms = 0)
+      : fd_(fd), timeout_ms_(timeout_ms) {}
 
   /// False at EOF or on a read error; failed() distinguishes the two.
   bool read_line(std::string* out);
@@ -76,17 +64,12 @@ class FdLineReader {
   /// True once a non-EINTR read error (or an I/O timeout) ended the stream.
   bool failed() const { return failed_; }
 
-  /// True when the stream ended because the read timeout elapsed.
-  bool timed_out() const { return timed_out_; }
-
  private:
   int fd_;
   std::int64_t timeout_ms_ = 0;  ///< 0 = wait forever
-  std::function<bool()> abort_;
-  std::string buffer_;
+  LineFramer lines_;
   bool eof_ = false;
   bool failed_ = false;
-  bool timed_out_ = false;
 };
 
 /// Writes all of `data` to `fd`; false on error. Sockets are written with
@@ -95,14 +78,7 @@ class FdLineReader {
 /// With `timeout_ms` > 0 each blocked stretch is bounded by poll(POLLOUT):
 /// a peer that stops reading (full receive window) fails the write with
 /// ETIMEDOUT and a tick in `io_timeouts_total` instead of wedging the
-/// session's writer thread.
+/// writing thread.
 bool write_all_fd(int fd, const std::string& data, std::int64_t timeout_ms = 0);
-
-/// Runs one server session over a connected socket and closes it. The first
-/// failed write ends the session (the peer is gone; no work is done for
-/// responses nobody can receive). Applies the server's io_timeout_ms to both
-/// directions and wakes from idle reads when the server stops or drains.
-/// Shared by the daemon's connection threads and the TCP tests.
-void serve_fd_session(SynthServer& server, int fd);
 
 }  // namespace sasynth

@@ -53,9 +53,7 @@ int ThreadPool::resolve_jobs(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ThreadPool::ThreadPool(int jobs, bool inline_single)
-    : jobs_(resolve_jobs(jobs)) {
-  if (jobs_ == 1 && inline_single) return;  // inline mode: no threads
+ThreadPool::ThreadPool(int jobs) : jobs_(resolve_jobs(jobs)) {
   threads_.reserve(static_cast<std::size_t>(jobs_));
   for (int w = 0; w < jobs_; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
@@ -63,7 +61,6 @@ ThreadPool::ThreadPool(int jobs, bool inline_single)
 }
 
 ThreadPool::~ThreadPool() {
-  if (threads_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
@@ -114,24 +111,6 @@ void ThreadPool::for_each(std::int64_t count, const RangeBody& body,
 }
 
 void ThreadPool::submit(std::function<void()> task, CancelToken token) {
-  PoolMetrics& pm = PoolMetrics::get();
-  if (threads_.empty()) {
-    // Inline mode: run on the caller so single-threaded flows stay
-    // deterministic and need no synchronization.
-    pm.tasks.add(1);
-    pm.task_wait_ms.observe(0.0);
-    if (token.cancelled()) pm.tasks_expired.add(1);
-    try {
-      task();
-    } catch (const std::exception& e) {
-      SA_LOG_WARN << "thread pool: inline task threw (" << e.what() << ")";
-      fault::note_degraded();
-    } catch (...) {
-      SA_LOG_WARN << "thread pool: inline task threw";
-      fault::note_degraded();
-    }
-    return;
-  }
   // Sample the enqueue clock only when metrics are on; a negative stamp
   // tells the dequeuing worker to skip the wait-time observation.
   const double enqueue_us =
@@ -144,7 +123,6 @@ void ThreadPool::submit(std::function<void()> task, CancelToken token) {
 }
 
 void ThreadPool::wait_tasks() {
-  if (threads_.empty()) return;
   std::unique_lock<std::mutex> lock(mutex_);
   work_done_.wait(lock, [this] { return tasks_.empty() && task_inflight_ == 0; });
 }

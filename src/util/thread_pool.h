@@ -27,17 +27,12 @@ class ThreadPool {
       std::function<void(std::int64_t begin, std::int64_t end, int worker)>;
 
   /// jobs <= 0 resolves through resolve_jobs() (SASYNTH_JOBS env, then
-  /// hardware concurrency). jobs == 1 creates no threads at all: for_each
-  /// runs inline on the caller.
-  ///
-  /// inline_single = false spawns a worker thread even at jobs == 1, so
-  /// submit() never runs a task on the caller. An event-loop submitter
-  /// needs this: inline execution would block the loop (and every other
-  /// session) behind one request — on a single-core host the default
-  /// resolution lands on jobs == 1, which made that a real failure mode,
-  /// not a corner case. for_each is unaffected: at jobs == 1 it stays
-  /// serial on the caller either way.
-  explicit ThreadPool(int jobs = 0, bool inline_single = true);
+  /// hardware concurrency). The pool always starts jobs() workers, so
+  /// submit() never runs a task on the caller — even at jobs == 1, where an
+  /// event-loop submitter would otherwise block the loop (and every other
+  /// session) behind one request. for_each at jobs == 1 still runs serially
+  /// on the caller.
+  explicit ThreadPool(int jobs = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -53,11 +48,9 @@ class ThreadPool {
   void for_each(std::int64_t count, const RangeBody& body,
                 std::int64_t chunk = 0);
 
-  /// Queues a one-off task for any worker (FIFO). In inline mode
-  /// (jobs() == 1 with inline_single, i.e. no worker threads) the task runs
-  /// immediately on the caller, which keeps single-threaded flows
-  /// deterministic. Tasks own their errors: an
-  /// exception escaping a task is swallowed, not rethrown (unlike for_each).
+  /// Queues a one-off task for any worker (FIFO); it never runs on the
+  /// caller. Tasks own their errors: an exception escaping a task is
+  /// swallowed, not rethrown (unlike for_each).
   /// A task must not call for_each, submit, or wait_tasks on its own pool.
   ///
   /// Tasks may carry a CancelToken: the pool still runs a cancelled task

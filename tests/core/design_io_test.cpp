@@ -92,6 +92,10 @@ struct BadInput {
   const char* expect;
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change from run to run and so would change the listed test ID.
+void PrintTo(const BadInput& c, std::ostream* os) { *os << c.name; }
+
 class DesignIoErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(DesignIoErrorTest, Rejected) {

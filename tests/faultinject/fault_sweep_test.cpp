@@ -1,5 +1,6 @@
 // The fault sweep: every injection point crossed with every error kind,
-// driven through real TCP sessions against a disk-backed server.
+// driven through real TCP sessions on the event-loop transport sasynthd
+// serves with, against a disk-backed server.
 //
 // The contract under test (ISSUE: failure-path hardening):
 //   * no crash, no hang, for any (site, kind);
@@ -16,21 +17,16 @@
 //     byte-identical transcript (retries are deterministic).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "faultinject/faultinject.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "serve/tcp.h"
+#include "support/loop_harness.h"
 
 namespace sasynth {
 namespace {
@@ -56,52 +52,6 @@ const char* kDeployRequest =
     "device tiny\n"
     "option min_util 0.5\n"
     "end\n";
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-/// Client-side writer on raw write(2): the client must NOT go through
-/// write_all_fd, whose tcp.write injection site belongs to the server under
-/// test — a shared site would consume the armed fault on the client's send.
-bool client_send_all(int fd, const std::string& data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    // MSG_NOSIGNAL: a fatal-read fault makes the server close the socket
-    // mid-script, and that must surface as EPIPE, not SIGPIPE in the test.
-    const ssize_t n = ::send(fd, data.data() + written,
-                             data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return out;
-    }
-    out.append(chunk, static_cast<std::size_t>(n));
-  }
-}
 
 class FaultSweepTest : public ::testing::Test {
  protected:
@@ -155,27 +105,14 @@ class FaultSweepTest : public ::testing::Test {
            kDeployRequest + "shutdown\n";
   }
 
-  /// Runs one full TCP client/server session and returns what the client
-  /// received. Joins everything: if this returns, nothing hung.
+  /// Runs one full TCP client/server session on an event loop and returns
+  /// what the client received. Joins everything: if this returns, nothing
+  /// hung. A session a fault ended never reaches its `shutdown`, so the
+  /// loop is stopped from outside (a no-op drain otherwise).
   static std::string run_tcp_session(SynthServer& server) {
-    TcpListener listener;
-    std::string error;
-    EXPECT_TRUE(listener.listen_on(0, &error)) << error;
-    std::thread session([&] {
-      const int fd = listener.accept_client();
-      if (fd >= 0) serve_fd_session(server, fd);
-    });
-    const int client = connect_loopback(listener.port());
-    EXPECT_GE(client, 0);
-    std::string transcript;
-    if (client >= 0) {
-      client_send_all(client, session_script());
-      ::shutdown(client, SHUT_WR);
-      transcript = read_to_eof(client);
-      ::close(client);
-    }
-    session.join();
-    listener.close_listener();
+    LoopRunner runner(server);
+    const std::string transcript = run_client(runner.port(), session_script());
+    EXPECT_EQ(runner.stop(), 0);
     return transcript;
   }
 
@@ -219,8 +156,10 @@ Outcome expected_outcome(const std::string& site, fault::ErrorKind kind) {
   if (site == fault::kSiteDeployPlan || site == fault::kSiteDeploySelect) {
     return Outcome::kSurfaced;
   }
-  // tcp.accept treats every kind as a transient accept failure; cache sites
-  // always fall back (fresh DSE / skip persist / drop memory tier).
+  // tcp.accept treats every kind as a transient accept failure; loop.poll
+  // loses one wait tick and loop.wakeup one wakeup, recovered by the
+  // <= 250 ms wait tick; cache sites always fall back (fresh DSE / skip
+  // persist / drop memory tier).
   return Outcome::kDegraded;
 }
 
@@ -238,13 +177,9 @@ TEST_F(FaultSweepTest, EverySiteTimesEveryKindDegradesGracefully) {
   };
 
   for (const std::string& site_name : fault::known_sites()) {
-    // The loop.* sites only exist on the event-loop transport; this sweep
-    // drives the blocking thread-per-session path, where they never fire
-    // (the EXPECT_GT(injected, 0) assertions would be vacuously wrong).
-    // event_loop_test.cpp sweeps them against the real loop. Likewise the
-    // shard.* sites only exist on a coordinator's peer RPCs;
-    // serve/shard_test.cpp sweeps them against a real worker fleet.
-    if (site_name.rfind("loop.", 0) == 0) continue;
+    // The shard.* sites only exist on a coordinator's peer RPCs, and this
+    // sweep runs no fleet; serve/shard_test.cpp sweeps them against a real
+    // worker fleet.
     if (site_name.rfind("shard.", 0) == 0) continue;
     for (const fault::ErrorKind kind : kinds) {
       SCOPED_TRACE(site_name + ":" + fault::kind_name(kind));

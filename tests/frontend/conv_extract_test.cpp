@@ -85,6 +85,10 @@ struct RejectCase {
   const char* source;
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change from run to run and so would change the listed test ID.
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.name; }
+
 class ConvExtractRejectTest : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(ConvExtractRejectTest, Rejected) {

@@ -137,6 +137,10 @@ struct BadCase {
   const char* expect_in_error;
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change from run to run and so would change the listed test ID.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrorTest, Rejected) {

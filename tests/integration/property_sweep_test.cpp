@@ -28,6 +28,10 @@ struct SweepCase {
   std::size_t mapping_index;  ///< index into the feasible-mapping list
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change from run to run and so would change the listed test ID.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+
 class SystolicSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(SystolicSweep, AllInvariantsHold) {

@@ -1,26 +1,24 @@
 // End-to-end deadline behavior of the synthesis service: timeout verdicts
 // with deterministic partial payloads, cache hygiene (a partial sweep is
-// never stored), the health probe, and the transport-level slow-loris guard
-// — all over the same real code paths sasynthd uses, including a real TCP
-// socket for the acceptance-style latency test.
+// never stored) and the health probe — all over the same real code paths
+// sasynthd uses, including the event-loop TCP transport for the
+// acceptance-style latency test. (The transport-level slow-loris guard is
+// pinned in event_loop_test.cpp.)
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/dse.h"
 #include "loopnest/conv_nest.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "serve/tcp.h"
+#include "support/loop_harness.h"
 #include "util/deadline.h"
 #include "util/strings.h"
 
@@ -48,33 +46,6 @@ constexpr const char* kTinyBlock =
     "device tiny\n"
     "option min_util 0.5\n"
     "end\n";
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return out;
-    }
-    out.append(chunk, static_cast<std::size_t>(n));
-  }
-}
 
 /// Reads until one full response block ("...\nend\n") has arrived.
 std::string read_one_block(int fd) {
@@ -226,17 +197,9 @@ TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
   options.jobs = 4;
   options.cache_enabled = false;
   SynthServer server(options);
+  LoopRunner runner(server);
 
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    ASSERT_GE(fd, 0);
-    serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
+  const int client = connect_loopback(runner.port());
   ASSERT_GE(client, 0);
   // bound_prune off: the branch-and-bound sweep finishes this layer well
   // inside 500 ms, and the scenario needs a cold DSE that cannot.
@@ -247,18 +210,17 @@ TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
       "deadline_ms 500\n"
       "end\n";
   const auto sent_at = std::chrono::steady_clock::now();
-  ASSERT_TRUE(write_all_fd(client, request));
+  ASSERT_TRUE(client_send_all(client, request));
   const std::string response = read_one_block(client);
   const std::int64_t elapsed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - sent_at)
           .count();
 
-  ASSERT_TRUE(write_all_fd(client, "shutdown\n"));
+  ASSERT_TRUE(client_send_all(client, "shutdown\n"));
   read_to_eof(client);
   ::close(client);
-  session.join();
-  listener.close_listener();
+  EXPECT_EQ(runner.join(), 0);  // the session's shutdown ends the loop
 
   EXPECT_TRUE(starts_with(response, "sasynth-response v1 timeout"))
       << response;
@@ -277,28 +239,15 @@ TEST(TcpDeadlineTest, NoDeadlineResponseByteIdenticalAcrossJobs) {
     options.jobs = jobs;
     options.cache_enabled = false;
     SynthServer server(options);
-    TcpListener listener;
-    std::string error;
-    EXPECT_TRUE(listener.listen_on(0, &error)) << error;
-    std::thread session([&] {
-      const int fd = listener.accept_client();
-      ASSERT_GE(fd, 0);
-      serve_fd_session(server, fd);
-    });
-    const int client = connect_loopback(listener.port());
-    EXPECT_GE(client, 0);
+    LoopRunner runner(server);
     const std::string script =
         "sasynth-request v1\n"
         "layer 48,128,13,13,3\n"
         "option jobs " + std::to_string(jobs) + "\n"
         "end\n"
         "shutdown\n";
-    EXPECT_TRUE(write_all_fd(client, script));
-    ::shutdown(client, SHUT_WR);
-    const std::string transcript = read_to_eof(client);
-    ::close(client);
-    session.join();
-    listener.close_listener();
+    const std::string transcript = run_client(runner.port(), script);
+    EXPECT_EQ(runner.join(), 0);
     // First block only (the bye block follows).
     const std::size_t end_at = transcript.find("\nend\n");
     EXPECT_NE(end_at, std::string::npos) << transcript;
@@ -309,39 +258,6 @@ TEST(TcpDeadlineTest, NoDeadlineResponseByteIdenticalAcrossJobs) {
   const std::string parallel = run(4);
   EXPECT_TRUE(starts_with(serial, "sasynth-response v1 ok")) << serial;
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(TcpIoTimeoutTest, SlowLorisClientLosesItsSession) {
-  ServeOptions options;
-  options.jobs = 1;
-  options.io_timeout_ms = 200;
-  SynthServer server(options);
-
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    ASSERT_GE(fd, 0);
-    serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
-  ASSERT_GE(client, 0);
-  // Half a request, then silence: the session must end on its own once the
-  // read timeout fires — no shutdown, no EOF from the client.
-  ASSERT_TRUE(write_all_fd(client, "sasynth-request v1\nlayer 16,16"));
-  const auto stalled_at = std::chrono::steady_clock::now();
-  session.join();  // hangs forever if the timeout never fires
-  const std::int64_t waited_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - stalled_at)
-          .count();
-  listener.close_listener();
-  ::close(client);
-  // Fired after the configured idle budget, with scheduling slack.
-  EXPECT_GE(waited_ms, 150);
-  EXPECT_LT(waited_ms, 5000);
 }
 
 }  // namespace

@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,53 +16,11 @@
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "serve/tcp.h"
+#include "support/loop_harness.h"
 #include "util/strings.h"
 
 namespace sasynth {
 namespace {
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return out;
-    }
-    out.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-/// One full client session against the loop: write the script, half-close,
-/// read everything until the server closes.
-std::string run_client(int port, const std::string& script) {
-  const int fd = connect_loopback(port);
-  if (fd < 0) return "<connect failed>";
-  if (!write_all_fd(fd, script)) {
-    ::close(fd);
-    return "<write failed>";
-  }
-  ::shutdown(fd, SHUT_WR);
-  const std::string transcript = read_to_eof(fd);
-  ::close(fd);
-  return transcript;
-}
 
 std::string request_block(double min_util) {
   return strformat(
@@ -83,29 +40,16 @@ class EventLoopTest : public ::testing::Test {
   /// Starts a loop over `server` on an ephemeral port and runs it on a
   /// background thread. stop() joins and returns run()'s status.
   void start(SynthServer& server, EventLoopOptions options = {}) {
-    loop_ = std::make_unique<EventLoopServer>(server, options);
-    std::string error;
-    ASSERT_TRUE(loop_->start(&error)) << error;
-    thread_ = std::thread([this] { status_ = loop_->run(); });
+    runner_ = std::make_unique<LoopRunner>(server, options);
   }
 
-  int stop() {
-    loop_->request_stop();
-    return join();
-  }
-
-  int join() {
-    if (thread_.joinable()) thread_.join();
-    return status_;
-  }
-
-  int port() const { return loop_->port(); }
-  EventLoopServer& loop() { return *loop_; }
+  int stop() { return runner_->stop(); }
+  int join() { return runner_->join(); }
+  int port() const { return runner_->port(); }
+  EventLoopServer& loop() { return runner_->loop(); }
 
  private:
-  std::unique_ptr<EventLoopServer> loop_;
-  std::thread thread_;
-  int status_ = -1;
+  std::unique_ptr<LoopRunner> runner_;
 };
 
 TEST_F(EventLoopTest, EndToEndSessionMatchesTheBlockingTransport) {
@@ -128,7 +72,7 @@ TEST_F(EventLoopTest, EndToEndSessionMatchesTheBlockingTransport) {
   EXPECT_LT(ok, bye);
   EXPECT_TRUE(server.stop_requested());
 
-  // Byte-identical to the blocking path: the ok response is exactly what a
+  // Byte-identical to a direct call: the ok response is exactly what a
   // fresh handle() of the same block produces.
   SynthServer reference({});
   const std::string ref = reference.handle(request_block(0.5));
@@ -209,7 +153,7 @@ TEST_F(EventLoopTest, LoopStaysLiveWhileAFlightIsParked) {
 
   const int parked = connect_loopback(port());
   ASSERT_GE(parked, 0);
-  ASSERT_TRUE(write_all_fd(parked, block));
+  ASSERT_TRUE(client_send_all(parked, block));
   ::shutdown(parked, SHUT_WR);
   while (server.counters().coalesced.load() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -263,7 +207,7 @@ TEST_F(EventLoopTest, DrainMidStormFinishesAcceptedWorkAndExitsCleanly) {
       }
       std::string& transcript = transcripts[i];
       if (i < kAnswered) {
-        write_all_fd(fd, request_block(0.5));
+        client_send_all(fd, request_block(0.5));
         // Read the full response *before* reporting settled, so the drain
         // finds this session idle with its answer already delivered.
         char ch;
@@ -275,10 +219,10 @@ TEST_F(EventLoopTest, DrainMidStormFinishesAcceptedWorkAndExitsCleanly) {
         // `layer 1,2` cannot parse, so the truncated block's answer is
         // unambiguously the parse error (a well-formed prefix would
         // default its missing fields and answer `ok`).
-        write_all_fd(fd, "sasynth-request v1\nlayer 1,2\n");
+        client_send_all(fd, "sasynth-request v1\nlayer 1,2\n");
         settled.fetch_add(1);
       } else {
-        write_all_fd(fd, request_block(0.5));
+        client_send_all(fd, request_block(0.5));
         settled.fetch_add(1);
       }
       // No SHUT_WR: the session still looks open when the drain fires.
@@ -303,7 +247,7 @@ TEST_F(EventLoopTest, DrainMidStormFinishesAcceptedWorkAndExitsCleanly) {
       // Racing: depending on how far the loop had read this request when
       // the drain fired, the session sees the full byte-identical answer, a
       // parse error for a partially-read block, or nothing (bytes never
-      // read — same as the blocking transport). Never a partial response.
+      // read). Never a partial response.
       EXPECT_TRUE(transcripts[i].empty() || transcripts[i] == ref ||
                   transcripts[i].find("sasynth-response v1 error") !=
                       std::string::npos)
@@ -378,7 +322,7 @@ TEST_F(EventLoopTest, MaxConnectionsRejectsOverflowWithARetryResponse) {
   EXPECT_NE(rejected.find("connection limit"), std::string::npos) << rejected;
 
   // The held session is unaffected and still works.
-  ASSERT_TRUE(write_all_fd(held, "ping\n"));
+  ASSERT_TRUE(client_send_all(held, "ping\n"));
   ::shutdown(held, SHUT_WR);
   EXPECT_NE(read_to_eof(held).find("sasynth-pong v1"), std::string::npos);
   ::close(held);
@@ -487,10 +431,19 @@ TEST_F(EventLoopTest, SlowLorisSessionIsDroppedByTheIoTimeout) {
 
   const int fd = connect_loopback(port());
   ASSERT_GE(fd, 0);
-  // Half a request, then silence: the read deadline must end the session.
-  ASSERT_TRUE(write_all_fd(fd, "sasynth-request v1\nlayer 1,2\n"));
+  // Half a request, then silence: the read deadline must end the session
+  // on its own — no shutdown, no EOF from the client.
+  ASSERT_TRUE(client_send_all(fd, "sasynth-request v1\nlayer 1,2\n"));
+  const auto stalled_at = std::chrono::steady_clock::now();
   const std::string transcript = read_to_eof(fd);
+  const std::int64_t waited_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - stalled_at)
+          .count();
   ::close(fd);
+  // Fired after the configured idle budget, with scheduling slack.
+  EXPECT_GE(waited_ms, 150);
+  EXPECT_LT(waited_ms, 5000);
 
   // The partial block was submitted at timeout, so the one answer the
   // session got is the parse error for the truncated request.

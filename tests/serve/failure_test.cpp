@@ -3,19 +3,18 @@
 // cache files). The injection-driven sweep lives in tests/faultinject/.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
 
 #include "serve/server.h"
 #include "serve/tcp.h"
+#include "support/loop_harness.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -27,47 +26,6 @@ const char* kRequestA =
     "device tiny\n"
     "option min_util 0.5\n"
     "end\n";
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool client_send_all(int fd, const std::string& data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written,
-                             data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return out;
-    }
-    out.append(chunk, static_cast<std::size_t>(n));
-  }
-}
 
 ServeOptions memory_options() {
   ServeOptions options;
@@ -88,16 +46,9 @@ std::string cache_dir(const char* tag) {
 /// cleanly — no SIGPIPE, no hang, no work done for responses nobody reads.
 TEST(ServeFailureTest, ClientDisconnectMidResponseEndsSessionCleanly) {
   SynthServer server(memory_options());
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
+  LoopRunner runner(server);
 
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    if (fd >= 0) serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
+  const int client = connect_loopback(runner.port());
   ASSERT_GE(client, 0);
   // Queue a burst of pings (plenty of response bytes to write), read only the
   // first response, then slam the connection shut. The server keeps writing
@@ -114,8 +65,12 @@ TEST(ServeFailureTest, ClientDisconnectMidResponseEndsSessionCleanly) {
   ::setsockopt(client, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
   ::close(client);
 
-  session.join();  // if the session thread returns, the path is clean
-  listener.close_listener();
+  // If the loop closes the session, the path is clean (a hang here is the
+  // ctest timeout).
+  while (runner.loop().open_connections() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(runner.stop(), 0);
   // The session processed at most the pings it managed to write responses
   // for; the important part is that the process is still here.
   EXPECT_GT(server.counters().commands.load(), 0);
@@ -125,26 +80,13 @@ TEST(ServeFailureTest, ClientDisconnectMidResponseEndsSessionCleanly) {
 /// is dropped, the session terminates, and nothing is parsed as complete.
 TEST(ServeFailureTest, HalfRequestAtEofIsDroppedNotParsed) {
   SynthServer server(memory_options());
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
+  LoopRunner runner(server);
 
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    if (fd >= 0) serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
-  ASSERT_GE(client, 0);
   // A request block cut off before `end` — and the last line cut off before
   // its newline.
-  ASSERT_TRUE(client_send_all(
-      client, "sasynth-request v1\nlayer 16,16,8,8,3\ndevice ti"));
-  ::shutdown(client, SHUT_WR);
-  const std::string transcript = read_to_eof(client);
-  ::close(client);
-  session.join();
-  listener.close_listener();
+  const std::string transcript = run_client(
+      runner.port(), "sasynth-request v1\nlayer 16,16,8,8,3\ndevice ti");
+  EXPECT_EQ(runner.stop(), 0);
 
   // The truncated block never reaches the DSE as a valid request; the parse
   // of the incomplete block yields an error response (missing device/end),
@@ -191,25 +133,12 @@ TEST(ServeFailureTest, ReadErrorDropsBufferedPartialLine) {
 /// the valid request before it is answered normally.
 TEST(ServeFailureTest, GarbageAfterValidRequestGetsErrorResponse) {
   SynthServer server(memory_options());
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
+  LoopRunner runner(server);
 
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    if (fd >= 0) serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
-  ASSERT_GE(client, 0);
-  ASSERT_TRUE(client_send_all(
-      client, std::string(kRequestA) + "\x01\x02 total garbage\n" +
-                  "ping\nshutdown\n"));
-  ::shutdown(client, SHUT_WR);
-  const std::string transcript = read_to_eof(client);
-  ::close(client);
-  session.join();
-  listener.close_listener();
+  const std::string transcript = run_client(
+      runner.port(), std::string(kRequestA) + "\x01\x02 total garbage\n" +
+                         "ping\nshutdown\n");
+  EXPECT_EQ(runner.join(), 0);  // the session's shutdown ends the loop
 
   const std::size_t ok = transcript.find("sasynth-response v1 ok");
   const std::size_t err = transcript.find("sasynth-response v1 error");

@@ -21,9 +21,9 @@
 
 #include "faultinject/faultinject.h"
 #include "obs/metrics.h"
-#include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/shard.h"
+#include "support/loop_harness.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -44,43 +44,6 @@ std::string request_block(const std::string& layer, int jobs) {
       "end\n",
       layer.c_str(), jobs);
 }
-
-/// One worker daemon on its own thread; `port` 0 = ephemeral. A fixed port
-/// lets a test restart a killed worker on the same address — the re-admission
-/// scenario.
-class WorkerDaemon {
- public:
-  explicit WorkerDaemon(ServeOptions options = {}, int port = 0)
-      : server_(options) {
-    EventLoopOptions loop_options;
-    loop_options.port = port;
-    loop_ = std::make_unique<EventLoopServer>(server_, loop_options);
-    std::string error;
-    started_ = loop_->start(&error);
-    EXPECT_TRUE(started_) << error;
-    if (started_) thread_ = std::thread([this] { loop_->run(); });
-  }
-
-  ~WorkerDaemon() { stop(); }
-
-  void stop() {
-    if (thread_.joinable()) {
-      loop_->request_stop();
-      thread_.join();
-    }
-  }
-
-  int port() const { return loop_->port(); }
-  std::string peer() const {
-    return "127.0.0.1:" + std::to_string(loop_->port());
-  }
-
- private:
-  SynthServer server_;
-  std::unique_ptr<EventLoopServer> loop_;
-  std::thread thread_;
-  bool started_ = false;
-};
 
 /// A listener that never accepts: connects succeed (kernel backlog) and the
 /// request write lands in the socket buffer, but no response ever comes —

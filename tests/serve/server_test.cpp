@@ -241,8 +241,8 @@ TEST(SynthServerTest, CoalescedFollowerVerdictsUpdateTheGlobalRegistry) {
     std::lock_guard<std::mutex> lock(mutex);
     responses[seq] = std::move(response);
   };
-  server.submit_session_block(kRequestA, /*is_deploy=*/false, 0, post);
-  server.submit_session_block(expired_block(kRequestA), /*is_deploy=*/false, 1,
+  server.submit_session_block(kRequestA, BlockKind::kSynth, 0, post);
+  server.submit_session_block(expired_block(kRequestA), BlockKind::kSynth, 1,
                               post);
   EXPECT_EQ(server.counters().coalesced.load(), 2);
 
@@ -276,7 +276,7 @@ TEST(SynthServerTest, ExpiredAtAdmissionLeaderStillClosesItsFlight) {
   // completed through a scheduler follow-up — off the submitting thread,
   // which in the TCP transport is the event loop — so followers' inline
   // re-executions can never stall it. drain() covers the follow-up.
-  server.submit_session_block(expired_block(kRequestA), /*is_deploy=*/false, 0,
+  server.submit_session_block(expired_block(kRequestA), BlockKind::kSynth, 0,
                               post);
   {
     std::lock_guard<std::mutex> lock(mutex);
@@ -289,7 +289,7 @@ TEST(SynthServerTest, ExpiredAtAdmissionLeaderStillClosesItsFlight) {
 
   // The key is free again: the identical canonical text runs as a fresh
   // leader instead of parking forever behind a leaked flight.
-  server.submit_session_block(kRequestA, /*is_deploy=*/false, 1, post);
+  server.submit_session_block(kRequestA, BlockKind::kSynth, 1, post);
   server.scheduler().drain();
   std::lock_guard<std::mutex> lock(mutex);
   EXPECT_NE(responses[1].find("sasynth-response v1 ok"), std::string::npos)

@@ -8,24 +8,21 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/design_io.h"
 #include "faultinject/faultinject.h"
 #include "loopnest/conv_nest.h"
 #include "obs/metrics.h"
-#include "serve/event_loop.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
+#include "support/loop_harness.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -38,20 +35,6 @@ namespace {
 const char* const kAlexNetConv2 = "96,256,27,27,5,1,2";
 const char* const kGoogLeNetReduce = "192,96,28,28,1";
 
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 std::string request_block(const std::string& layer, int jobs) {
   return strformat(
       "sasynth-request v1\n"
@@ -62,39 +45,6 @@ std::string request_block(const std::string& layer, int jobs) {
       "end\n",
       layer.c_str(), jobs);
 }
-
-/// One worker daemon: a SynthServer behind an event loop on an ephemeral
-/// loopback port, running on its own thread until stop().
-class WorkerDaemon {
- public:
-  explicit WorkerDaemon(ServeOptions options = {}) : server_(options) {
-    loop_ = std::make_unique<EventLoopServer>(server_, EventLoopOptions{});
-    std::string error;
-    started_ = loop_->start(&error);
-    EXPECT_TRUE(started_) << error;
-    if (started_) thread_ = std::thread([this] { loop_->run(); });
-  }
-
-  ~WorkerDaemon() { stop(); }
-
-  void stop() {
-    if (thread_.joinable()) {
-      loop_->request_stop();
-      thread_.join();
-    }
-  }
-
-  int port() const { return loop_->port(); }
-  std::string peer() const {
-    return "127.0.0.1:" + std::to_string(loop_->port());
-  }
-
- private:
-  SynthServer server_;
-  std::unique_ptr<EventLoopServer> loop_;
-  std::thread thread_;
-  bool started_ = false;
-};
 
 class ShardTest : public ::testing::Test {
  protected:
@@ -415,12 +365,7 @@ TEST_F(ShardTest, CoordinatorDrainFinishesInFlightShardedWork) {
   ServeOptions options;
   for (const auto& w : workers) options.shard_peers.push_back(w->peer());
   SynthServer coordinator(options);
-
-  EventLoopServer loop(coordinator, EventLoopOptions{});
-  std::string error;
-  ASSERT_TRUE(loop.start(&error)) << error;
-  int status = -1;
-  std::thread runner([&] { status = loop.run(); });
+  LoopRunner loop(coordinator);
 
   const int fd = connect_loopback(loop.port());
   ASSERT_GE(fd, 0);
@@ -434,9 +379,8 @@ TEST_F(ShardTest, CoordinatorDrainFinishesInFlightShardedWork) {
     while (reader.read_line(&line)) transcript += line + "\n";
   }
   ::close(fd);
-  runner.join();
 
-  EXPECT_EQ(status, 0);
+  EXPECT_EQ(loop.join(), 0);
   const std::size_t ok = transcript.find("sasynth-response v1 ok");
   const std::size_t bye = transcript.find("sasynth-bye v1");
   ASSERT_NE(ok, std::string::npos) << transcript;

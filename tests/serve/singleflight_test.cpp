@@ -109,7 +109,7 @@ TEST(CoalescingTest, FollowerReceivesTheLeadersShareableResponse) {
   ASSERT_EQ(server.singleflight().join(key, {}), SingleFlight::Role::kLeader);
   std::string got;
   int posts = 0;
-  server.submit_session_block(kBlock, /*is_deploy=*/false, /*seq=*/0,
+  server.submit_session_block(kBlock, BlockKind::kSynth, /*seq=*/0,
                               [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                                 ++posts;
@@ -137,7 +137,7 @@ TEST(CoalescingTest, UnsharedCompletionMakesTheFollowerRunItself) {
 
   ASSERT_EQ(server.singleflight().join(key, {}), SingleFlight::Role::kLeader);
   std::string got;
-  server.submit_session_block(kBlock, false, 0,
+  server.submit_session_block(kBlock, BlockKind::kSynth, 0,
                               [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                               });
@@ -165,7 +165,7 @@ TEST(CoalescingTest, ExpiredFollowerGetsItsOwnTimeoutNotTheSharedResult) {
 
   ASSERT_EQ(server.singleflight().join(key, {}), SingleFlight::Role::kLeader);
   std::string got;
-  server.submit_session_block(block, false, 0,
+  server.submit_session_block(block, BlockKind::kSynth, 0,
                               [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                               });
@@ -185,8 +185,9 @@ TEST(CoalescingTest, MalformedBlocksAreNotCoalesced) {
   options.jobs = 1;
   SynthServer server(options);
   std::string got;
-  server.submit_session_block("sasynth-request v1\nnot a field\nend\n", false,
-                              0, [&](std::uint64_t, std::string response) {
+  server.submit_session_block("sasynth-request v1\nnot a field\nend\n",
+                              BlockKind::kSynth, 0,
+                              [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                               });
   server.scheduler().drain();  // execution is asynchronous at any jobs count
@@ -207,11 +208,11 @@ TEST(CoalescingTest, LeaderCompletionClosesTheFlight) {
   SynthServer server(options);
   std::string first;
   std::string second;
-  server.submit_session_block(kBlock, false, 0,
+  server.submit_session_block(kBlock, BlockKind::kSynth, 0,
                               [&](std::uint64_t, std::string r) { first = r; });
   server.scheduler().drain();
   EXPECT_EQ(server.singleflight().inflight(), 0);
-  server.submit_session_block(kBlock, false, 1,
+  server.submit_session_block(kBlock, BlockKind::kSynth, 1,
                               [&](std::uint64_t, std::string r) { second = r; });
   server.scheduler().drain();
   EXPECT_EQ(server.singleflight().inflight(), 0);

@@ -2,45 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <string>
-#include <thread>
 
 namespace sasynth {
 namespace {
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string read_to_eof(int fd) {
-  std::string out;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return out;
-    }
-    out.append(chunk, static_cast<std::size_t>(n));
-  }
-}
 
 TEST(TcpListenerTest, EphemeralPortIsReported) {
   TcpListener listener;
@@ -48,63 +15,6 @@ TEST(TcpListenerTest, EphemeralPortIsReported) {
   ASSERT_TRUE(listener.listen_on(0, &error)) << error;
   EXPECT_GT(listener.port(), 0);
   listener.close_listener();
-}
-
-TEST(TcpListenerTest, CloseUnblocksAccept) {
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
-  std::thread closer([&] { listener.close_listener(); });
-  // accept_client must return -1 once the listener is gone, not hang.
-  for (;;) {
-    const int client = listener.accept_client();
-    if (client < 0) break;
-    ::close(client);
-  }
-  closer.join();
-}
-
-TEST(TcpSessionTest, EndToEndRequestOverSocket) {
-  ServeOptions options;
-  options.jobs = 1;
-  SynthServer server(options);
-
-  TcpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.listen_on(0, &error)) << error;
-
-  std::thread session([&] {
-    const int fd = listener.accept_client();
-    ASSERT_GE(fd, 0);
-    serve_fd_session(server, fd);
-  });
-
-  const int client = connect_loopback(listener.port());
-  ASSERT_GE(client, 0);
-  const std::string script =
-      "ping\n"
-      "sasynth-request v1\n"
-      "layer 16,16,8,8,3\n"
-      "device tiny\n"
-      "option min_util 0.5\n"
-      "end\n"
-      "shutdown\n";
-  ASSERT_TRUE(write_all_fd(client, script));
-  ::shutdown(client, SHUT_WR);
-  const std::string transcript = read_to_eof(client);
-  ::close(client);
-  session.join();
-  listener.close_listener();
-
-  const std::size_t pong = transcript.find("sasynth-pong v1");
-  const std::size_t ok = transcript.find("sasynth-response v1 ok");
-  const std::size_t bye = transcript.find("sasynth-bye v1");
-  ASSERT_NE(pong, std::string::npos) << transcript;
-  ASSERT_NE(ok, std::string::npos) << transcript;
-  ASSERT_NE(bye, std::string::npos) << transcript;
-  EXPECT_LT(pong, ok);
-  EXPECT_LT(ok, bye);
-  EXPECT_TRUE(server.stop_requested());
 }
 
 TEST(FdLineReaderTest, SplitsLinesAndDeliversTrailingFragment) {

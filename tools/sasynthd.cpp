@@ -216,10 +216,11 @@ class DrainWatcher {
 int serve_stdio(SynthServer& server, std::int64_t drain_timeout_ms,
                 const std::string& metrics_out, const std::string& trace_out) {
   DrainWatcher watcher(server, drain_timeout_ms, metrics_out, trace_out);
+  // stdin reads through the same line framer as every other transport (and
+  // fires its tcp.read fault site). No timeout: --io-timeout is TCP-only.
+  FdLineReader reader(STDIN_FILENO);
   server.serve(
-      [](std::string* line) {
-        return static_cast<bool>(std::getline(std::cin, *line));
-      },
+      [&reader](std::string* line) { return reader.read_line(line); },
       [](const std::string& response) {
         std::cout << response;
         std::cout.flush();
