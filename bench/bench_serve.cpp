@@ -20,6 +20,7 @@
 
 #include "bench_util.h"
 #include "nn/network.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "util/strings.h"
 
@@ -70,6 +71,15 @@ double timed_handle(SynthServer& server, const std::string& block,
 int main() {
   const std::vector<std::string> stream = alexnet_request_stream();
 
+  // The gates read the registry, which records nothing while metrics are
+  // off; each pass is judged on its own delta.
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& cache_hits = registry.counter("cache_hits_total");
+  obs::Counter& dse_work = registry.counter("serve_dse_work_items_total");
+  const std::int64_t hits_before = cache_hits.value();
+  const std::int64_t work_before = dse_work.value();
+
   ServeOptions options;
   options.jobs = kClients;
   SynthServer server(options);
@@ -89,8 +99,8 @@ int main() {
     cold_responses.push_back(std::move(response));
     std::printf("  %.1f ms\n", cold_ms.back());
   }
-  const std::int64_t cold_hits = server.cache().stats().hits;
-  const std::int64_t cold_dse_work = server.counters().dse_work_items.load();
+  const std::int64_t cold_hits = cache_hits.value();
+  const std::int64_t cold_dse_work = dse_work.value() - work_before;
 
   // --- warm: concurrent clients replay the stream, all cache hits ---
   std::printf("--- warm pass (%d clients x %d repeats) ---\n", kClients,
@@ -120,10 +130,10 @@ int main() {
   const std::int64_t warm_requests =
       static_cast<std::int64_t>(kClients) * kWarmRepeats *
       static_cast<std::int64_t>(stream.size());
-  const std::int64_t warm_hits = server.cache().stats().hits - cold_hits;
+  const std::int64_t warm_hits = cache_hits.value() - cold_hits;
   const double warm_hit_rate = static_cast<double>(warm_hits) /
                                static_cast<double>(warm_requests);
-  const bool dse_flat = server.counters().dse_work_items.load() == cold_dse_work;
+  const bool dse_flat = dse_work.value() - work_before == cold_dse_work;
 
   const double cold_p50 = percentile(cold_ms, 0.50);
   const double cold_p95 = percentile(cold_ms, 0.95);
@@ -157,6 +167,11 @@ int main() {
     std::printf("wrote BENCH_serve.json\n");
   }
 
+  if (cold_hits != hits_before || cold_dse_work <= 0) {
+    // "Flat" means nothing unless the cold pass counted its DSE work.
+    std::printf("ERROR: cold pass hit the cache or recorded no DSE work\n");
+    return 1;
+  }
   if (warm_hit_rate < 1.0 || !dse_flat) {
     std::printf("ERROR: warm pass was not fully served from the cache\n");
     return 1;

@@ -8,11 +8,15 @@
 // (coalesced sessions / N) and the number of DSE executions the storm cost.
 //
 // Emits BENCH_serve_concurrency.json, one row per session count, and exits
-// nonzero unless at the largest scale:
+// nonzero unless:
 //   * every transcript is byte-identical to a fresh handle() of the block
-//     (coalescing must never change a response byte), and
+//     (coalescing must never change a response byte),
+//   * every storm counts at least one DSE execution (each starts cold, so a
+//     zero means the count itself is broken and the next gate proves
+//     nothing), and
 //   * 256 concurrent duplicate cold sessions cost at most 2 DSE executions —
 //     the acceptance gate for coalescing being real, not cosmetic.
+// The counts are per-storm deltas of the metrics registry.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
@@ -89,6 +94,12 @@ struct ScaleResult {
 };
 
 ScaleResult run_scale(int sessions, const std::string& reference) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& coalesced = registry.counter("serve_coalesced_total");
+  obs::Counter& dse_runs = registry.counter("serve_dse_runs_total");
+  const std::int64_t coalesced_before = coalesced.value();
+  const std::int64_t dse_runs_before = dse_runs.value();
+
   ServeOptions options;
   options.jobs = 4;
   options.queue_limit = 512;  // the gate measures coalescing, not shedding
@@ -132,9 +143,10 @@ ScaleResult run_scale(int sessions, const std::string& reference) {
   result.sessions = sessions;
   result.p50_ms = percentile(latency_ms, 0.50);
   result.p99_ms = percentile(latency_ms, 0.99);
-  result.coalesce_rate = static_cast<double>(server.counters().coalesced.load()) /
-                         static_cast<double>(sessions);
-  result.dse_runs = server.counters().dse_runs.load();
+  result.coalesce_rate =
+      static_cast<double>(coalesced.value() - coalesced_before) /
+      static_cast<double>(sessions);
+  result.dse_runs = dse_runs.value() - dse_runs_before;
   result.byte_identical = mismatches.load() == 0;
   return result;
 }
@@ -142,6 +154,9 @@ ScaleResult run_scale(int sessions, const std::string& reference) {
 }  // namespace
 
 int main() {
+  // The gates read the registry, which records nothing while metrics are off.
+  obs::set_metrics_enabled(true);
+
   // The reference bytes every session must receive, from a throwaway server.
   std::string reference;
   {
@@ -186,6 +201,12 @@ int main() {
   for (const ScaleResult& r : results) {
     if (!r.byte_identical) {
       std::printf("ERROR: %d-session storm produced a non-identical response\n",
+                  r.sessions);
+      status = 1;
+    }
+    if (r.dse_runs < 1) {
+      std::printf("ERROR: %d-session storm on a cold server counted no DSE "
+                  "execution\n",
                   r.sessions);
       status = 1;
     }

@@ -1,26 +1,11 @@
 #include "core/design_io.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "util/strings.h"
 
 namespace sasynth {
 
 namespace {
 constexpr const char* kMagic = "sasynth-design v1";
-
-// Strict integer parse: the whole token must be a number, no silent
-// garbage->0 coercion (std::atoll would accept "12x" and "abc").
-bool parse_strict_int64(const std::string& token, std::int64_t* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
 }  // namespace
 
 std::string save_design_text(const DesignPoint& design,
@@ -108,9 +93,9 @@ DesignLoadResult load_design_text(const std::string& text, const LoopNest& nest,
     return fail("malformed shape line");
   }
   ArrayShape shape;
-  if (!parse_strict_int64(shape_parts[1], &shape.rows) ||
-      !parse_strict_int64(shape_parts[2], &shape.cols) ||
-      !parse_strict_int64(shape_parts[3], &shape.vec)) {
+  if (!parse_int64_strict(shape_parts[1], &shape.rows) ||
+      !parse_int64_strict(shape_parts[2], &shape.cols) ||
+      !parse_int64_strict(shape_parts[3], &shape.vec)) {
     return fail("shape extents must be integers");
   }
   if (shape.rows < 1 || shape.cols < 1 || shape.vec < 1) {
@@ -128,7 +113,7 @@ DesignLoadResult load_design_text(const std::string& text, const LoopNest& nest,
   std::vector<std::int64_t> middle;
   for (std::size_t p = 1; p < middle_parts.size(); ++p) {
     std::int64_t v = 0;
-    if (!parse_strict_int64(middle_parts[p], &v)) {
+    if (!parse_int64_strict(middle_parts[p], &v)) {
       return fail("middle bounds must be integers");
     }
     if (v < 1) return fail("middle bounds must be >= 1");

@@ -1063,31 +1063,40 @@ void DesignSpaceExplorer::run_phase2(const LoopNest& nest,
 }
 
 DseResult DesignSpaceExplorer::explore(const LoopNest& nest) const {
+  return explore(nest, [&](double min_dsp_util, DseStats* stats) {
+    DseOptions at_floor = options_;
+    at_floor.min_dsp_util = min_dsp_util;
+    return DesignSpaceExplorer(device_, dtype_, at_floor)
+        .enumerate_phase1(nest, stats);
+  });
+}
+
+DseResult DesignSpaceExplorer::explore(const LoopNest& nest,
+                                       const Phase1Step& phase1) const {
   DseResult result;
   result.stats.effective_min_dsp_util = options_.min_dsp_util;
-  std::vector<DseCandidate> all = enumerate_phase1(nest, &result.stats);
+  std::vector<DseCandidate> all = phase1(options_.min_dsp_util, &result.stats);
   if (all.empty() && !result.stats.cancelled && options_.auto_relax_util &&
       options_.min_dsp_util > 0.0) {
     // The utilization floor excluded every feasible shape (tiny layer or
     // tight device); relax c_s and retry — the paper's phase 1 rerun knob.
     // A cancelled empty sweep must not enter this loop: "found nothing
     // before the deadline" is a timeout, not evidence that c_s is too
-    // aggressive, and each retry re-sweeps the whole space.
-    DseOptions relaxed = options_;
-    while (all.empty() && !result.stats.cancelled &&
-           relaxed.min_dsp_util > 1e-3) {
-      relaxed.min_dsp_util /= 2.0;
+    // aggressive, and each retry re-sweeps the whole space. A sharded
+    // phase 1 relaxes here too, after its reduce: one worker's empty window
+    // says nothing about the whole space.
+    double relaxed = options_.min_dsp_util;
+    while (all.empty() && !result.stats.cancelled && relaxed > 1e-3) {
+      relaxed /= 2.0;
       ++result.stats.util_relaxations;
-      const DesignSpaceExplorer retry(device_, dtype_, relaxed);
-      all = retry.enumerate_phase1(nest, &result.stats);
+      all = phase1(relaxed, &result.stats);
     }
     if (all.empty() && !result.stats.cancelled) {
-      relaxed.min_dsp_util = 0.0;
+      relaxed = 0.0;
       ++result.stats.util_relaxations;
-      const DesignSpaceExplorer retry(device_, dtype_, relaxed);
-      all = retry.enumerate_phase1(nest, &result.stats);
+      all = phase1(relaxed, &result.stats);
     }
-    result.stats.effective_min_dsp_util = relaxed.min_dsp_util;
+    result.stats.effective_min_dsp_util = relaxed;
   }
   const std::size_t keep =
       std::min<std::size_t>(all.size(), static_cast<std::size_t>(options_.top_k));

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,18 @@ class DesignSpaceExplorer {
 
   /// Full two-phase DSE for one loop nest (one layer, one group).
   DseResult explore(const LoopNest& nest) const;
+
+  /// Phase 1 at one utilization floor: all valid candidates in ranked order,
+  /// accumulating into `stats` (work items, and `cancelled` when the cancel
+  /// token cut the sweep).
+  using Phase1Step = std::function<std::vector<DseCandidate>(
+      double min_dsp_util, DseStats* stats)>;
+
+  /// The same two-phase DSE with phase 1 supplied by the caller — a shard
+  /// coordinator fans each round out over its peers. The auto_relax_util
+  /// retry loop, the top-K cut, phase 2 and the `dse_*` metric publish are
+  /// this explorer's; explore(nest) passes enumerate_phase1.
+  DseResult explore(const LoopNest& nest, const Phase1Step& phase1) const;
 
   /// Convenience: builds the conv nest and explores it.
   DseResult explore_layer(const ConvLayerDesc& layer) const;

@@ -1,5 +1,6 @@
 #include "faultinject/faultinject.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -179,11 +180,17 @@ bool parse_entry(const std::string& entry, FaultSpec* spec, std::string* name,
              "enospc, corrupt, error, stall)";
     return false;
   }
+  // util's parse_int64_strict sits above this library (util links it), so
+  // the strict posture is restated here: whole token, no overflow — a value
+  // saturated to LLONG_MAX would arm a fault that never fires.
   auto parse_positive = [](const std::string& text, std::int64_t* out) {
     if (text.empty()) return false;
+    errno = 0;
     char* end = nullptr;
     const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1) return false;
+    if (end == nullptr || *end != '\0' || errno == ERANGE || v < 1) {
+      return false;
+    }
     *out = v;
     return true;
   };

@@ -87,9 +87,9 @@ inline constexpr const char* kSitePoolTask = "pool.task";
 inline constexpr const char* kSiteDeployPlan = "deploy.plan";
 inline constexpr const char* kSiteDeploySelect = "deploy.select";
 /// Event-loop internals (serve/event_loop.h). `loop.poll` fires per
-/// epoll_wait/poll call — any injected kind models a transient poller error
+/// epoll_wait call — any injected kind models a transient poller error
 /// the loop must absorb and retry. `loop.wakeup` fires per cross-thread
-/// wakeup — an injected kind models a *lost* eventfd/self-pipe write, which
+/// wakeup — an injected kind models a *lost* eventfd write, which
 /// the loop's bounded wait tick must recover from (a completion may be
 /// delayed, never dropped). Both are swept with the others over the event
 /// loop (tests/faultinject/fault_sweep_test.cpp).

@@ -56,6 +56,14 @@ class Gauge {
   void add(std::int64_t n) {
     if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Raises the value to `v` when `v` is larger: a running maximum.
+  void set_max(std::int64_t v) {
+    if (!metrics_enabled()) return;
+    std::int64_t seen = value_.load(std::memory_order_relaxed);
+    while (v > seen &&
+           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    }
+  }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 

@@ -1,38 +1,11 @@
 #include "serve/deploy_protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "core/design_io.h"
 #include "nn/network.h"
 #include "serve/protocol.h"
 #include "util/strings.h"
 
 namespace sasynth {
-
-namespace {
-
-bool parse_int64(const std::string& token, std::int64_t* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 DeployRequest::DeployRequest() : device(arria10_gt1150()) {
   // Serving default, matching ServeRequest: one thread per request.
@@ -78,7 +51,8 @@ ParsedDeployRequest parse_deploy_request_block(const std::string& block) {
       DeployWorkloadItem item;
       item.network = parts[1];
       if (parts.size() == 3) {
-        if (!parse_double(parts[2], &item.weight) || !(item.weight > 0.0)) {
+        if (!parse_double_strict(parts[2], &item.weight) ||
+            !(item.weight > 0.0)) {
           return fail("network weight '" + parts[2] +
                       "' is not a positive number");
         }
@@ -87,7 +61,7 @@ ParsedDeployRequest parse_deploy_request_block(const std::string& block) {
     } else if (field == "fleet") {
       if (have_fleet) return fail("duplicate fleet field");
       std::int64_t k = 0;
-      if (parts.size() != 2 || !parse_int64(parts[1], &k) || k < 1 ||
+      if (parts.size() != 2 || !parse_int64_strict(parts[1], &k) || k < 1 ||
           k > 64) {
         return fail("fleet expects one integer in [1, 64]");
       }
@@ -112,7 +86,7 @@ ParsedDeployRequest parse_deploy_request_block(const std::string& block) {
     } else if (field == "deadline_ms") {
       if (have_deadline) return fail("duplicate deadline_ms field");
       std::int64_t ms = 0;
-      if (parts.size() != 2 || !parse_int64(parts[1], &ms)) {
+      if (parts.size() != 2 || !parse_int64_strict(parts[1], &ms)) {
         return fail("deadline_ms expects one integer value (milliseconds)");
       }
       if (ms < 0) return fail("deadline_ms must be >= 0");

@@ -17,9 +17,10 @@ namespace sasynth {
 namespace {
 constexpr const char* kCacheMagic = "sasynth-cache v1";
 
-/// Cache metrics (docs/OBSERVABILITY.md). The DesignCacheStats struct stays
-/// the per-cache view returned over the wire; these are the process-global
-/// counterparts every cache instance feeds.
+/// Cache metrics (docs/OBSERVABILITY.md): the only count of cache events,
+/// fed by every cache instance in the process. A miss is a probe that did
+/// not hit. `stores - disk_store_failures` bounds what a fresh process can
+/// possibly find on disk: a failed persist still leaves the entry in memory.
 struct CacheMetrics {
   obs::Counter& probes;
   obs::Counter& hits;
@@ -70,7 +71,6 @@ bool DesignCache::lookup(const std::string& canonical_request,
     if (validation.empty()) {
       *out = it->second.design;
       touch(it->second, key);
-      ++stats_.hits;
       CacheMetrics::get().hits.add(1);
       return true;
     }
@@ -80,14 +80,11 @@ bool DesignCache::lookup(const std::string& canonical_request,
   if (!dir_.empty() && load_from_disk(key, canonical_request, nest, out)) {
     // Promote to memory so a hot key stops paying disk I/O.
     insert_locked(key, canonical_request, *out);
-    ++stats_.hits;
-    ++stats_.disk_hits;
     CacheMetrics& cm = CacheMetrics::get();
     cm.hits.add(1);
     cm.disk_hits.add(1);
     return true;
   }
-  ++stats_.misses;
   return false;
 }
 
@@ -96,7 +93,6 @@ void DesignCache::insert(const std::string& canonical_request,
   const std::uint64_t key = fnv1a64(canonical_request);
   std::lock_guard<std::mutex> lock(mutex_);
   insert_locked(key, canonical_request, design);
-  ++stats_.insertions;
   CacheMetrics::get().stores.add(1);
   if (!dir_.empty()) store_to_disk(key, canonical_request, design);
 }
@@ -121,9 +117,8 @@ void DesignCache::insert_locked(std::uint64_t key,
       SA_LOG_WARN << "design cache: injected eviction fault, dropping all "
                   << entries_.size() << " in-memory entries";
       fault::note_degraded();
-      const std::int64_t dropped = static_cast<std::int64_t>(entries_.size());
-      stats_.evictions += dropped;
-      CacheMetrics::get().evictions.add(dropped);
+      CacheMetrics::get().evictions.add(
+          static_cast<std::int64_t>(entries_.size()));
       entries_.clear();
       lru_.clear();
       break;
@@ -131,7 +126,6 @@ void DesignCache::insert_locked(std::uint64_t key,
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     entries_.erase(victim);
-    ++stats_.evictions;
     CacheMetrics::get().evictions.add(1);
   }
   lru_.push_front(key);
@@ -157,7 +151,6 @@ bool DesignCache::load_from_disk(std::uint64_t key,
   std::string text = buffer.str();
 
   auto reject = [&](const char* why) {
-    ++stats_.load_failures;
     CacheMetrics::get().load_failures.add(1);
     fault::note_degraded();
     SA_LOG_WARN << "design cache: discarding " << path << " (" << why
@@ -232,10 +225,9 @@ void DesignCache::store_to_disk(std::uint64_t key,
   obs::ScopedSpan span("cache.disk_store", "serve");
   static fault::Site& store_site = fault::site(fault::kSiteCacheStore);
   // Every early return below is one failed persist; the caller already
-  // counted the insertion, so this is the only place that keeps the stats
+  // counted the insertion, so this is the only place that keeps the counts
   // honest about what actually reached disk. (Called under mutex_.)
-  auto count_failure = [this] {
-    ++stats_.disk_store_failures;
+  auto count_failure = [] {
     CacheMetrics::get().disk_store_failures.add(1);
     fault::note_degraded();
   };
@@ -291,11 +283,6 @@ void DesignCache::store_to_disk(std::uint64_t key,
     count_failure();
     std::filesystem::remove(tmp, ec);
   }
-}
-
-DesignCacheStats DesignCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::size_t DesignCache::size() const {

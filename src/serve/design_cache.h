@@ -33,20 +33,9 @@
 
 namespace sasynth {
 
-struct DesignCacheStats {
-  std::int64_t hits = 0;          ///< lookups answered (memory or disk)
-  std::int64_t misses = 0;
-  std::int64_t disk_hits = 0;     ///< subset of hits served from disk
-  std::int64_t load_failures = 0; ///< corrupt/mismatched disk entries skipped
-  std::int64_t insertions = 0;
-  std::int64_t evictions = 0;     ///< in-memory LRU evictions
-  /// insert() calls whose on-disk persist failed (directory creation, write,
-  /// or rename). The insertion itself still counts — the memory tier has the
-  /// entry — so `insertions - disk_store_failures` bounds what a fresh
-  /// process can possibly find on disk.
-  std::int64_t disk_store_failures = 0;
-};
-
+/// Lookups, hits, loads, stores and evictions are counted in the metrics
+/// registry only (`cache_*`, docs/OBSERVABILITY.md), summed over every cache
+/// in the process.
 class DesignCache {
  public:
   /// `dir` empty means in-memory only. The directory is created on first
@@ -67,7 +56,6 @@ class DesignCache {
   /// directory is configured. Thread-safe.
   void insert(const std::string& canonical_request, const DesignPoint& design);
 
-  DesignCacheStats stats() const;
   std::size_t size() const;
   const std::string& dir() const { return dir_; }
 
@@ -94,7 +82,6 @@ class DesignCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::list<std::uint64_t> lru_;  ///< front = most recent
-  DesignCacheStats stats_;
 };
 
 }  // namespace sasynth

@@ -1,6 +1,8 @@
 #include "serve/event_loop.h"
 
 #include <fcntl.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,15 +24,6 @@
 #include "util/deadline.h"
 #include "util/logging.h"
 #include "util/strings.h"
-
-#if defined(__linux__) && !defined(SASYNTH_EVENT_LOOP_FORCE_POLL)
-#define SASYNTH_EVENT_LOOP_EPOLL 1
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#else
-#define SASYNTH_EVENT_LOOP_EPOLL 0
-#include <poll.h>
-#endif
 
 namespace sasynth {
 
@@ -89,7 +82,7 @@ struct Completion {
 struct Waker {
   std::mutex mutex;
   std::vector<Completion> queue;
-  int wake_fd = -1;  ///< eventfd, or the write end of the self-pipe
+  int wake_fd = -1;  ///< the eventfd, shared with the loop's read side
 
   void post(std::uint64_t conn_id, std::uint64_t seq, std::string response) {
     obs::ScopedSpan span("loop.wakeup", "serve");
@@ -113,13 +106,8 @@ struct Waker {
       return;
     }
     if (wake_fd < 0) return;  // loop already torn down; queue is detached
-#if SASYNTH_EVENT_LOOP_EPOLL
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
-#else
-    // EAGAIN (pipe full) is fine: a wakeup is already pending.
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, "x", 1);
-#endif
   }
 
   void detach() {
@@ -155,9 +143,7 @@ struct Connection {
   Deadline read_deadline;
   Deadline write_deadline;
 
-#if SASYNTH_EVENT_LOOP_EPOLL
   std::uint32_t registered_events = 0;
-#endif
 
   bool flushed() const {
     return posted == next_seq && ready.empty() && outbuf.empty();
@@ -173,10 +159,8 @@ struct EventLoopServer::Impl {
 
   TcpListener listener;
   std::shared_ptr<Waker> waker = std::make_shared<Waker>();
-  int wake_read_fd = -1;
-#if SASYNTH_EVENT_LOOP_EPOLL
+  int wake_read_fd = -1;  ///< the waker's eventfd (closed by its detach())
   int epoll_fd = -1;
-#endif
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::uint64_t next_conn_id = 3;  ///< 1 = listener, 2 = wake fd
@@ -197,13 +181,8 @@ struct EventLoopServer::Impl {
     }
     conns.clear();
     LoopMetrics::get().connections.set(0);
-    if (wake_read_fd >= 0 && wake_read_fd != waker->wake_fd) {
-      ::close(wake_read_fd);
-    }
     waker->detach();
-#if SASYNTH_EVENT_LOOP_EPOLL
     if (epoll_fd >= 0) ::close(epoll_fd);
-#endif
   }
 
   // --- poller -----------------------------------------------------------
@@ -211,7 +190,6 @@ struct EventLoopServer::Impl {
   bool start(std::string* error) {
     if (!listener.listen_on(options.port, error)) return false;
     set_nonblocking(listener.fd());
-#if SASYNTH_EVENT_LOOP_EPOLL
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd < 0) {
       *error = std::string("epoll_create1: ") + std::strerror(errno);
@@ -237,36 +215,17 @@ struct EventLoopServer::Impl {
       *error = std::string("epoll_ctl(eventfd): ") + std::strerror(errno);
       return false;
     }
-#else
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) < 0) {
-      *error = std::string("pipe: ") + std::strerror(errno);
-      return false;
-    }
-    set_nonblocking(pipe_fds[0]);
-    set_nonblocking(pipe_fds[1]);
-    wake_read_fd = pipe_fds[0];
-    waker->wake_fd = pipe_fds[1];
-#endif
     return true;
   }
 
   std::uint32_t wanted_events(const Connection& c) const {
-#if SASYNTH_EVENT_LOOP_EPOLL
     std::uint32_t want = 0;
     if (!c.read_closed) want |= EPOLLIN;
     if (!c.outbuf.empty()) want |= EPOLLOUT;
     return want;
-#else
-    std::uint32_t want = 0;
-    if (!c.read_closed) want |= POLLIN;
-    if (!c.outbuf.empty()) want |= POLLOUT;
-    return want;
-#endif
   }
 
   void update_events(Connection& c) {
-#if SASYNTH_EVENT_LOOP_EPOLL
     const std::uint32_t want = wanted_events(c);
     if (want == c.registered_events) return;
     epoll_event ev{};
@@ -275,9 +234,6 @@ struct EventLoopServer::Impl {
     if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c.fd, &ev) == 0) {
       c.registered_events = want;
     }
-#else
-    (void)c;  // the poll fallback rebuilds its fd set every wait
-#endif
   }
 
   /// One (id, revents) pair per ready fd, in poller order.
@@ -292,7 +248,6 @@ struct EventLoopServer::Impl {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       return out;
     }
-#if SASYNTH_EVENT_LOOP_EPOLL
     epoll_event events[64];
     const int n = ::epoll_wait(epoll_fd, events, 64, timeout_ms);
     if (n < 0) return out;  // EINTR (or worse): treat as an empty tick
@@ -302,28 +257,6 @@ struct EventLoopServer::Impl {
       const std::uint32_t revents = events[i].events;
       out.emplace_back(id, revents);
     }
-#else
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;
-    if (listener.fd() >= 0) {
-      fds.push_back(pollfd{listener.fd(), POLLIN, 0});
-      ids.push_back(kListenerId);
-    }
-    fds.push_back(pollfd{wake_read_fd, POLLIN, 0});
-    ids.push_back(kWakeId);
-    for (auto& [id, conn] : conns) {
-      const short want = static_cast<short>(wanted_events(*conn));
-      fds.push_back(pollfd{conn->fd, want, 0});
-      ids.push_back(id);
-    }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n <= 0) return out;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents != 0) {
-        out.emplace_back(ids[i], static_cast<std::uint32_t>(fds[i].revents));
-      }
-    }
-#endif
     return out;
   }
 
@@ -359,13 +292,11 @@ struct EventLoopServer::Impl {
       conn->read_deadline = Deadline::after_ms(io_timeout_ms);
     }
     set_nonblocking(fd);
-#if SASYNTH_EVENT_LOOP_EPOLL
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = conn->id;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
     conn->registered_events = EPOLLIN;
-#endif
     Connection& ref = *conn;
     conns.emplace(ref.id, std::move(conn));
     open_count.store(static_cast<std::int64_t>(conns.size()));
@@ -375,9 +306,7 @@ struct EventLoopServer::Impl {
   }
 
   void close_conn(Connection& c) {
-#if SASYNTH_EVENT_LOOP_EPOLL
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
-#endif
     ::close(c.fd);
     conns.erase(c.id);  // destroys c — no touching it past this line
     open_count.store(static_cast<std::int64_t>(conns.size()));
@@ -670,10 +599,7 @@ struct EventLoopServer::Impl {
         fail_conn(c, "session write failed (injected peer loss)");
         return;
       }
-      ssize_t n = ::send(c.fd, c.outbuf.data(), want, MSG_NOSIGNAL);
-      if (n < 0 && errno == ENOTSOCK) {
-        n = ::write(c.fd, c.outbuf.data(), want);
-      }
+      const ssize_t n = ::send(c.fd, c.outbuf.data(), want, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -795,15 +721,9 @@ struct EventLoopServer::Impl {
           }
           auto it = conns.find(id);
           if (it == conns.end()) continue;  // closed earlier this iteration
-#if SASYNTH_EVENT_LOOP_EPOLL
           const bool readable = (revents & EPOLLIN) != 0;
           const bool writable = (revents & EPOLLOUT) != 0;
           const bool broken = (revents & (EPOLLERR | EPOLLHUP)) != 0;
-#else
-          const bool readable = (revents & POLLIN) != 0;
-          const bool writable = (revents & POLLOUT) != 0;
-          const bool broken = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-#endif
           if (readable || (broken && !it->second->read_closed)) {
             do_read(id);
             it = conns.find(id);

@@ -7,19 +7,16 @@
 // serve()'s writer thread), with request execution dispatched through the
 // SynthServer's scheduler/ThreadPool.
 // Completed responses are handed back to the loop over a mutex-guarded
-// completion queue plus an eventfd wakeup (self-pipe where eventfd does not
-// exist), so pool workers never touch connection state — connections are
-// loop-thread-only and need no locks.
+// completion queue plus an eventfd wakeup, so pool workers never touch
+// connection state — connections are loop-thread-only and need no locks.
 //
-// On Linux the poller is epoll; elsewhere (or with
-// -DSASYNTH_EVENT_LOOP_FORCE_POLL for testing the fallback) it is poll(2)
-// over the same state machine. Both honor the server's --io-timeout on each
-// direction of every connection, fire the tcp.read/tcp.write fault sites
-// with the same kind semantics as FdLineReader/write_all_fd, and add two
-// loop-specific sites: `loop.poll` (transient poller failure, absorbed and
-// retried) and `loop.wakeup` (a lost cross-thread wakeup, recovered by the
-// loop's bounded <=250 ms wait tick — a completion may be delayed, never
-// dropped).
+// The poller is epoll (Linux only). The loop honors the server's
+// --io-timeout on each direction of every connection, fires the
+// tcp.read/tcp.write fault sites with the same kind semantics as
+// FdLineReader/write_all_fd, and adds two loop-specific sites: `loop.poll`
+// (transient poller failure, absorbed and retried) and `loop.wakeup` (a lost
+// cross-thread wakeup, recovered by the loop's bounded <=250 ms wait tick —
+// a completion may be delayed, never dropped).
 //
 // Determinism invariant (docs/ARCHITECTURE.md): the transport orders bytes,
 // it never computes. Every response byte comes from SynthServer::handle /
@@ -59,7 +56,7 @@ class EventLoopServer {
   EventLoopServer(const EventLoopServer&) = delete;
   EventLoopServer& operator=(const EventLoopServer&) = delete;
 
-  /// Binds the listener and builds the poller + wakeup pipe. On failure
+  /// Binds the listener and builds the poller + wakeup eventfd. On failure
   /// returns false with a message in `error`; run() must not be called.
   bool start(std::string* error);
 

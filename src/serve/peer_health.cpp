@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 
 #include "faultinject/faultinject.h"
@@ -69,12 +68,8 @@ std::string split_peer_host_port(const std::string& peer, std::string* host,
     return "bad peer '" + peer + "' (expected host:port)";
   }
   *host = peer.substr(0, colon);
-  const std::string port_text = peer.substr(colon + 1);
-  errno = 0;
-  char* end = nullptr;
-  const long long p = std::strtoll(port_text.c_str(), &end, 10);
-  if (port_text.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      p < 1 || p > 65535) {
+  std::int64_t p = 0;
+  if (!parse_int64_strict(peer.substr(colon + 1), &p) || p < 1 || p > 65535) {
     return "bad peer '" + peer + "' (port must be an integer in 1..65535)";
   }
   in_addr probe{};

@@ -1,8 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "core/design_io.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -10,17 +7,6 @@
 namespace sasynth {
 
 namespace {
-
-// The strict conversions live in util/strings (parse_*_strict) so the CLI
-// flag parsers share one posture with the wire protocol; these local names
-// just keep the call sites short.
-bool parse_int64(const std::string& token, std::int64_t* out) {
-  return parse_int64_strict(token, out);
-}
-
-bool parse_double(const std::string& token, double* out) {
-  return parse_double_strict(token, out);
-}
 
 bool parse_bool(const std::string& token, bool* out) {
   const std::string lower = to_lower(token);
@@ -42,7 +28,7 @@ std::string apply_dse_option(DseOptions* dse_out, const std::string& key,
   DseOptions& dse = *dse_out;
   auto want_double = [&](double* out, double lo, double hi) -> std::string {
     double v = 0.0;
-    if (!parse_double(value, &v) || v < lo || v > hi) {
+    if (!parse_double_strict(value, &v) || v < lo || v > hi) {
       return "option " + key + ": bad value '" + value + "'";
     }
     *out = v;
@@ -51,7 +37,7 @@ std::string apply_dse_option(DseOptions* dse_out, const std::string& key,
   auto want_int = [&](std::int64_t lo, std::int64_t hi,
                       auto setter) -> std::string {
     std::int64_t v = 0;
-    if (!parse_int64(value, &v) || v < lo || v > hi) {
+    if (!parse_int64_strict(value, &v) || v < lo || v > hi) {
       return "option " + key + ": bad value '" + value + "'";
     }
     setter(v);
@@ -111,7 +97,7 @@ bool parse_layer_fields(const std::string& spec, ConvLayerDesc* out,
   std::vector<std::int64_t> values;
   for (const std::string& part : parts) {
     std::int64_t v = 0;
-    if (!parse_int64(trim(part), &v) || v < 1) {
+    if (!parse_int64_strict(trim(part), &v) || v < 1) {
       *error = "layer field '" + part + "' is not a positive integer";
       return false;
     }
@@ -184,7 +170,7 @@ ParsedRequest parse_request_block(const std::string& block) {
       // would turn a client's 50 ms budget into an unbounded request.
       if (have_deadline) return fail("duplicate deadline_ms field");
       std::int64_t ms = 0;
-      if (parts.size() != 2 || !parse_int64(parts[1], &ms)) {
+      if (parts.size() != 2 || !parse_int64_strict(parts[1], &ms)) {
         return fail("deadline_ms expects one integer value (milliseconds)");
       }
       if (ms < 0) return fail("deadline_ms must be >= 0");

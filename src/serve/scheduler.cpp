@@ -53,10 +53,6 @@ Admission RequestScheduler::try_submit(Work work, Deadline deadline,
   // occupy a slot a live one could use. Checked outside the lock — expiry
   // needs no queue state.
   if (deadline.expired()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++rejected_expired_;
-    }
     sm.rejected_expired.add(1);
     return Admission::kExpired;
   }
@@ -67,7 +63,6 @@ Admission RequestScheduler::try_submit(Work work, Deadline deadline,
       // An injected admission failure is indistinguishable from a full
       // queue on purpose: the caller's retry-response path is exactly what
       // the fault is exercising.
-      ++rejected_;
       sm.rejected.add(1);
       if (admit_fault) fault::note_degraded();
       return Admission::kQueueFull;
@@ -91,13 +86,7 @@ Admission RequestScheduler::try_submit(Work work, Deadline deadline,
         // writer needs a response for every seq) but is told to skip the
         // work itself.
         const bool shed = deadline.expired();
-        if (shed) {
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++shed_expired_;
-          }
-          m.shed_expired.add(1);
-        }
+        if (shed) m.shed_expired.add(1);
         try {
           work(shed);
         } catch (const std::exception& e) {
@@ -170,21 +159,6 @@ std::int64_t RequestScheduler::pending() const {
 std::int64_t RequestScheduler::high_water() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return high_water_;
-}
-
-std::int64_t RequestScheduler::rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_;
-}
-
-std::int64_t RequestScheduler::rejected_expired() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_expired_;
-}
-
-std::int64_t RequestScheduler::shed_expired() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_expired_;
 }
 
 }  // namespace sasynth

@@ -74,18 +74,11 @@ class RequestScheduler {
   /// Accepted-but-unfinished request count right now.
   std::int64_t pending() const;
 
-  /// Highest pending() ever observed (the queue-depth high-water counter).
+  /// Highest pending() ever observed (the queue-depth high-water mark).
+  /// Admission outcomes are counted in the metrics registry only
+  /// (`serve_rejected_total`, `serve_rejected_expired_total`,
+  /// `serve_shed_expired_total`).
   std::int64_t high_water() const;
-
-  /// try_submit refusals with a live deadline (queue full).
-  std::int64_t rejected() const;
-
-  /// try_submit refusals because the deadline was already expired.
-  std::int64_t rejected_expired() const;
-
-  /// Accepted requests whose deadline expired before dequeue (work ran with
-  /// shed=true).
-  std::int64_t shed_expired() const;
 
  private:
   std::int64_t queue_limit_;
@@ -93,9 +86,6 @@ class RequestScheduler {
   std::condition_variable idle_;
   std::int64_t pending_ = 0;
   std::int64_t high_water_ = 0;
-  std::int64_t rejected_ = 0;
-  std::int64_t rejected_expired_ = 0;
-  std::int64_t shed_expired_ = 0;
   // Declared last: workers may still touch the fields above while the pool
   // drains during destruction.
   ThreadPool pool_;

@@ -25,15 +25,9 @@ namespace sasynth {
 
 namespace {
 
-void bump_max(std::atomic<std::int64_t>& slot, std::int64_t value) {
-  std::int64_t seen = slot.load();
-  while (value > seen && !slot.compare_exchange_weak(seen, value)) {
-  }
-}
-
-/// Process-global mirrors of ServerCounters (docs/OBSERVABILITY.md). The
-/// per-server struct stays the `stats` wire format; these aggregate across
-/// every server in the process and feed `stats --format=prom|json`.
+/// The serving instruments (docs/OBSERVABILITY.md). The registry is the
+/// one place a serving event is counted: `stats`, `health` and
+/// `stats --format=prom|json` all render these.
 struct ServeMetrics {
   obs::Counter& requests;
   obs::Counter& ok;
@@ -41,17 +35,22 @@ struct ServeMetrics {
   obs::Counter& timeouts;
   /// Shared with SchedMetrics (the registry dedups by name): the scheduler
   /// bumps these at its own refusal/shed points, but a coalesced follower
-  /// never enters the scheduler — its retry/shed verdicts are counted here
-  /// so `stats --format=prom|json` agrees with the legacy stats block.
+  /// never enters the scheduler — its retry/shed verdicts are counted here.
   obs::Counter& rejected;
+  obs::Counter& rejected_expired;
   obs::Counter& shed_expired;
   obs::Counter& commands;
   /// Requests answered by coalescing onto an identical in-flight request
   /// (singleflight followers) — the across-concurrency twin of cache_hits.
   obs::Counter& coalesced;
   obs::Counter& dse_runs;
+  /// Sum of DseStats::work_items over all fresh explorations — the flatness
+  /// of this counter across a warm-cache replay is the proof that cache hits
+  /// never re-enter enumerate_phase1.
   obs::Counter& dse_work_items;
   obs::Histogram& request_ms;
+  /// Longest single request, microseconds (`stats`' wall_ms_max).
+  obs::Gauge& request_max_us;
   /// Budget left when a deadlined request finished (0 for timeouts): how
   /// close production deadlines run to the edge.
   obs::Histogram& deadline_slack_ms;
@@ -65,17 +64,59 @@ struct ServeMetrics {
           r.counter("serve_errors_total"),
           r.counter("serve_timeouts_total"),
           r.counter("serve_rejected_total"),
+          r.counter("serve_rejected_expired_total"),
           r.counter("serve_shed_expired_total"),
           r.counter("serve_commands_total"),
           r.counter("serve_coalesced_total"),
           r.counter("serve_dse_runs_total"),
           r.counter("serve_dse_work_items_total"),
           r.histogram("serve_request_ms"),
+          r.gauge("serve_request_max_us"),
           r.histogram("request_deadline_slack_ms"),
       };
     }();
     return *m;
   }
+};
+
+/// One handled request's accounting, shared by handle, handle_deploy and
+/// handle_shard: the request is counted when the record opens, and each
+/// verdict call counts the verdict and feeds the span's clock to the wall
+/// time instruments — so `stats`, prom and the trace all agree.
+class RequestRecord {
+ public:
+  RequestRecord(const obs::ScopedSpan& span, const CancelToken& cancel)
+      : span_(span), cancel_(cancel) {
+    ServeMetrics::get().requests.add(1);
+  }
+
+  std::string ok(std::string response) {
+    return finish(ServeMetrics::get().ok, std::move(response));
+  }
+  std::string error(std::string response) {
+    return finish(ServeMetrics::get().errors, std::move(response));
+  }
+  std::string timeout(std::string response) {
+    return finish(ServeMetrics::get().timeouts, std::move(response));
+  }
+
+ private:
+  std::string finish(obs::Counter& verdict, std::string response) {
+    ServeMetrics& sm = ServeMetrics::get();
+    verdict.add(1);
+    const std::int64_t us =
+        static_cast<std::int64_t>(span_.elapsed_seconds() * 1e6);
+    sm.request_ms.observe(static_cast<double>(us) * 1e-3);
+    sm.request_max_us.set_max(us);
+    if (!cancel_.deadline().unbounded()) {
+      sm.deadline_slack_ms.observe(static_cast<double>(
+          std::max<std::int64_t>(0, cancel_.deadline().remaining_ms())));
+    }
+    return response;
+  }
+
+  const obs::ScopedSpan& span_;
+  const CancelToken& cancel_;
 };
 
 /// Fixed timeout messages (no numbers/timestamps), keyed by where the
@@ -118,32 +159,10 @@ std::string SynthServer::handle(const std::string& request_block) {
 
 std::string SynthServer::handle(const std::string& request_block,
                                 CancelToken cancel) {
-  // One span per request; its clock also feeds the wall_us counters and the
-  // serve_request_ms histogram, so `stats`, prom and the trace all agree.
   obs::ScopedSpan span("serve.handle", "serve");
-  ServeMetrics& sm = ServeMetrics::get();
-  counters_.requests.fetch_add(1);
-  sm.requests.add(1);
-
-  auto finish = [&](std::string response) {
-    const std::int64_t us =
-        static_cast<std::int64_t>(span.elapsed_seconds() * 1e6);
-    counters_.wall_us_total.fetch_add(us);
-    bump_max(counters_.wall_us_max, us);
-    sm.request_ms.observe(static_cast<double>(us) * 1e-3);
-    if (!cancel.deadline().unbounded()) {
-      sm.deadline_slack_ms.observe(static_cast<double>(
-          std::max<std::int64_t>(0, cancel.deadline().remaining_ms())));
-    }
-    return response;
-  };
-
+  RequestRecord record(span, cancel);
   const ParsedRequest parsed = parse_request_block(request_block);
-  if (!parsed.ok) {
-    counters_.errors.fetch_add(1);
-    sm.errors.add(1);
-    return finish(format_error_response(parsed.error));
-  }
+  if (!parsed.ok) return record.error(format_error_response(parsed.error));
   // Mutable copy so the session's cancel token rides into the DSE. The token
   // (like dse.jobs) is execution policy: canonical_request_text never sees
   // it, so the cache key is unchanged.
@@ -178,8 +197,7 @@ std::string SynthServer::handle(const std::string& request_block,
                                        request.dse);
     const DseResult result = shard_.enabled() ? shard_.explore(request, nest)
                                               : explorer.explore(nest);
-    counters_.dse_runs.fetch_add(1);
-    counters_.dse_work_items.fetch_add(result.stats.work_items);
+    ServeMetrics& sm = ServeMetrics::get();
     sm.dse_runs.add(1);
     sm.dse_work_items.add(result.stats.work_items);
     timed_out = result.status == DseStatus::kCancelled;
@@ -187,13 +205,9 @@ std::string SynthServer::handle(const std::string& request_block,
       if (timed_out) {
         // The deadline fired before any candidate survived: a payload-free
         // timeout, not an error — the layer may be perfectly synthesizable.
-        counters_.timeouts.fetch_add(1);
-        sm.timeouts.add(1);
-        return finish(format_timeout_response(kTimeoutInDse));
+        return record.timeout(format_timeout_response(kTimeoutInDse));
       }
-      counters_.errors.fetch_add(1);
-      sm.errors.add(1);
-      return finish(format_error_response(
+      return record.error(format_error_response(
           "design space exploration found no valid design for this "
           "layer/device"));
     }
@@ -220,14 +234,10 @@ std::string SynthServer::handle(const std::string& request_block,
   const double latency_ms = layer_latency_ms(request.layer, realized);
 
   if (timed_out) {
-    counters_.timeouts.fetch_add(1);
-    sm.timeouts.add(1);
-    return finish(format_timeout_response(kTimeoutInDse, design, realized,
-                                          resources.report, latency_ms));
+    return record.timeout(format_timeout_response(
+        kTimeoutInDse, design, realized, resources.report, latency_ms));
   }
-  counters_.ok.fetch_add(1);
-  sm.ok.add(1);
-  return finish(
+  return record.ok(
       format_ok_response(design, realized, resources.report, latency_ms));
 }
 
@@ -238,29 +248,9 @@ std::string SynthServer::handle_deploy(const std::string& request_block) {
 std::string SynthServer::handle_deploy(const std::string& request_block,
                                        CancelToken cancel) {
   obs::ScopedSpan span("serve.handle_deploy", "serve");
-  ServeMetrics& sm = ServeMetrics::get();
-  counters_.requests.fetch_add(1);
-  sm.requests.add(1);
-
-  auto finish = [&](std::string response) {
-    const std::int64_t us =
-        static_cast<std::int64_t>(span.elapsed_seconds() * 1e6);
-    counters_.wall_us_total.fetch_add(us);
-    bump_max(counters_.wall_us_max, us);
-    sm.request_ms.observe(static_cast<double>(us) * 1e-3);
-    if (!cancel.deadline().unbounded()) {
-      sm.deadline_slack_ms.observe(static_cast<double>(
-          std::max<std::int64_t>(0, cancel.deadline().remaining_ms())));
-    }
-    return response;
-  };
-
+  RequestRecord record(span, cancel);
   const ParsedDeployRequest parsed = parse_deploy_request_block(request_block);
-  if (!parsed.ok) {
-    counters_.errors.fetch_add(1);
-    sm.errors.add(1);
-    return finish(format_error_response(parsed.error));
-  }
+  if (!parsed.ok) return record.error(format_error_response(parsed.error));
   // Like handle(): the cancel token is execution policy, never key material.
   DeployRequest request = parsed.request;
   request.dse.cancel = cancel;
@@ -315,14 +305,10 @@ std::string SynthServer::handle_deploy(const std::string& request_block,
     if (selected.cancelled) {
       // No partial payload: unlike a truncated sweep there is no meaningful
       // best-so-far fleet, and partial results are never cached.
-      counters_.timeouts.fetch_add(1);
-      sm.timeouts.add(1);
-      return finish(format_timeout_response(kTimeoutInFleet));
+      return record.timeout(format_timeout_response(kTimeoutInFleet));
     }
     if (!selected.valid) {
-      counters_.errors.fetch_add(1);
-      sm.errors.add(1);
-      return finish(format_error_response(selected.error));
+      return record.error(format_error_response(selected.error));
     }
     designs = selected.designs;
     // A fleet smaller than K (candidate pool ran out) is answered but not
@@ -344,13 +330,9 @@ std::string SynthServer::handle_deploy(const std::string& request_block,
   const deploy::FleetResult evaluated =
       deploy::evaluate_fleet(workload, designs, request.device, request.dtype);
   if (!evaluated.valid) {
-    counters_.errors.fetch_add(1);
-    sm.errors.add(1);
-    return finish(format_error_response(evaluated.error));
+    return record.error(format_error_response(evaluated.error));
   }
-  counters_.ok.fetch_add(1);
-  sm.ok.add(1);
-  return finish(format_deploy_ok_response(evaluated));
+  return record.ok(format_deploy_ok_response(evaluated));
 }
 
 std::string SynthServer::handle_shard(const std::string& request_block) {
@@ -360,24 +342,10 @@ std::string SynthServer::handle_shard(const std::string& request_block) {
 std::string SynthServer::handle_shard(const std::string& request_block,
                                       CancelToken cancel) {
   obs::ScopedSpan span("serve.handle_shard", "serve");
-  ServeMetrics& sm = ServeMetrics::get();
-  counters_.requests.fetch_add(1);
-  sm.requests.add(1);
-
-  auto finish = [&](std::string response) {
-    const std::int64_t us =
-        static_cast<std::int64_t>(span.elapsed_seconds() * 1e6);
-    counters_.wall_us_total.fetch_add(us);
-    bump_max(counters_.wall_us_max, us);
-    sm.request_ms.observe(static_cast<double>(us) * 1e-3);
-    return response;
-  };
-
+  RequestRecord record(span, cancel);
   const ParsedShardRequest parsed = parse_shard_request_block(request_block);
   if (!parsed.ok) {
-    counters_.errors.fetch_add(1);
-    sm.errors.add(1);
-    return finish(format_shard_error_response(parsed.error));
+    return record.error(format_shard_error_response(parsed.error));
   }
   ServeRequest request = parsed.request.request;
   request.dse.cancel = cancel;
@@ -410,55 +378,57 @@ std::string SynthServer::handle_shard(const std::string& request_block,
   for (const DseCandidate& candidate : candidates) {
     partial.designs.push_back(candidate.design);
   }
-  counters_.dse_runs.fetch_add(1);
-  counters_.dse_work_items.fetch_add(stats.work_items);
+  ServeMetrics& sm = ServeMetrics::get();
   sm.dse_runs.add(1);
   sm.dse_work_items.add(stats.work_items);
-  counters_.ok.fetch_add(1);
-  sm.ok.add(1);
-  return finish(format_shard_response(partial));
+  return record.ok(format_shard_response(partial));
 }
 
 std::string SynthServer::stats_text() const {
-  const DesignCacheStats cache = cache_.stats();
+  // Every count is a registry instrument (docs/SERVING.md names each row's
+  // metric); only queue state, configuration and cache sizes come from the
+  // components themselves.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  auto count = [&registry](const char* metric) -> long long {
+    return registry.counter(metric).value();
+  };
   std::string out = std::string(kStatsMagic) + "\n";
   auto line = [&out](const char* name, long long v) {
     out += strformat("%s %lld\n", name, v);
   };
-  line("requests", counters_.requests.load());
-  line("ok", counters_.ok.load());
-  line("errors", counters_.errors.load());
-  line("rejected", counters_.rejected.load());
-  line("timeouts", counters_.timeouts.load());
-  line("rejected_expired", counters_.rejected_expired.load());
-  line("shed_expired", counters_.shed_expired.load());
-  line("coalesced", counters_.coalesced.load());
-  line("commands", counters_.commands.load());
-  line("cache_hits", cache.hits);
-  line("cache_misses", cache.misses);
-  line("cache_disk_hits", cache.disk_hits);
-  line("cache_load_failures", cache.load_failures);
-  line("cache_insertions", cache.insertions);
-  line("cache_evictions", cache.evictions);
-  line("cache_disk_store_failures", cache.disk_store_failures);
+  line("requests", count("serve_requests_total"));
+  line("ok", count("serve_ok_total"));
+  line("errors", count("serve_errors_total"));
+  line("rejected", count("serve_rejected_total"));
+  line("timeouts", count("serve_timeouts_total"));
+  line("rejected_expired", count("serve_rejected_expired_total"));
+  line("shed_expired", count("serve_shed_expired_total"));
+  line("coalesced", count("serve_coalesced_total"));
+  line("commands", count("serve_commands_total"));
+  line("cache_hits", count("cache_hits_total"));
+  line("cache_misses", count("cache_probes_total") - count("cache_hits_total"));
+  line("cache_disk_hits", count("cache_disk_hits_total"));
+  line("cache_load_failures", count("cache_load_failures_total"));
+  line("cache_insertions", count("cache_stores_total"));
+  line("cache_evictions", count("cache_evictions_total"));
+  line("cache_disk_store_failures", count("cache_disk_store_failures_total"));
   line("cache_entries", static_cast<long long>(cache_.size()));
-  const SweepCacheStats sweep = sweep_cache_.stats();
-  line("sweep_cache_exact_hits", sweep.exact_hits);
-  line("sweep_cache_exact_misses", sweep.exact_misses);
-  line("sweep_cache_hint_hits", sweep.hint_hits);
-  line("sweep_cache_hint_misses", sweep.hint_misses);
-  line("sweep_cache_insertions", sweep.insertions);
-  line("sweep_cache_evictions", sweep.evictions);
+  line("sweep_cache_exact_hits", count("sweep_cache_exact_hits_total"));
+  line("sweep_cache_exact_misses", count("sweep_cache_exact_misses_total"));
+  line("sweep_cache_hint_hits", count("sweep_cache_hint_hits_total"));
+  line("sweep_cache_hint_misses", count("sweep_cache_hint_misses_total"));
+  line("sweep_cache_insertions", count("sweep_cache_insertions_total"));
+  line("sweep_cache_evictions", count("sweep_cache_evictions_total"));
   line("sweep_cache_entries", static_cast<long long>(sweep_cache_.size()));
-  line("dse_runs", counters_.dse_runs.load());
-  line("dse_work_items", counters_.dse_work_items.load());
+  line("dse_runs", count("serve_dse_runs_total"));
+  line("dse_work_items", count("serve_dse_work_items_total"));
   line("queue_depth_high_water", scheduler_.high_water());
   line("queue_limit", scheduler_.queue_limit());
   line("jobs", scheduler_.jobs());
-  out += strformat("wall_ms_total %.3f\n",
-                   static_cast<double>(counters_.wall_us_total.load()) / 1000.0);
+  const ServeMetrics& sm = ServeMetrics::get();
+  out += strformat("wall_ms_total %.3f\n", sm.request_ms.sum());
   out += strformat("wall_ms_max %.3f\n",
-                   static_cast<double>(counters_.wall_us_max.load()) / 1000.0);
+                   static_cast<double>(sm.request_max_us.value()) / 1000.0);
   out += std::string(kBlockEnd) + "\n";
   return out;
 }
@@ -468,7 +438,9 @@ std::string SynthServer::health_text() const {
   // answer while the queue is jammed — that is the whole point of having a
   // second command next to `stats`. (Probes should use a dedicated
   // connection: responses are per-session ordered, so a probe sharing a
-  // session with slow requests queues behind them.)
+  // session with slow requests queues behind them.) The counts are relaxed
+  // loads of registry instruments resolved once per process.
+  const ServeMetrics& sm = ServeMetrics::get();
   const std::int64_t pending = scheduler_.pending();
   const std::int64_t limit = scheduler_.queue_limit();
   const std::int64_t uptime_s =
@@ -482,15 +454,15 @@ std::string SynthServer::health_text() const {
   out += strformat("queue_limit %lld\n", static_cast<long long>(limit));
   out += strformat("jobs %d\n", scheduler_.jobs());
   out += strformat("requests %lld\n",
-                   static_cast<long long>(counters_.requests.load()));
+                   static_cast<long long>(sm.requests.value()));
   out += strformat("timeouts %lld\n",
-                   static_cast<long long>(counters_.timeouts.load()));
+                   static_cast<long long>(sm.timeouts.value()));
   out += strformat("rejected %lld\n",
-                   static_cast<long long>(counters_.rejected.load()));
+                   static_cast<long long>(sm.rejected.value()));
   out += strformat("rejected_expired %lld\n",
-                   static_cast<long long>(counters_.rejected_expired.load()));
+                   static_cast<long long>(sm.rejected_expired.value()));
   out += strformat("shed_expired %lld\n",
-                   static_cast<long long>(counters_.shed_expired.load()));
+                   static_cast<long long>(sm.shed_expired.value()));
   out += strformat("shedding %d\n", pending >= limit ? 1 : 0);
   if (const PeerHealthRegistry* health = shard_.health()) {
     // Per-peer breaker rows (peer_health.h): `peer<i>_<field> <value>`,
@@ -584,7 +556,6 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
       // No scheduler slot, no DSE: the leader's completion answers this seq
       // (or tells us to answer ourselves). The follower's own token still
       // governs its verdict — see deliver_coalesced.
-      counters_.coalesced.fetch_add(1);
       ServeMetrics::get().coalesced.add(1);
       return;
     }
@@ -598,26 +569,13 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
         // handler degrades to an error response, not a hole.
         std::string response;
         if (shed) {
-          // Expired while queued: answer without paying for the work.
-          counters_.requests.fetch_add(1);
-          counters_.timeouts.fetch_add(1);
-          counters_.shed_expired.fetch_add(1);
+          // Expired while queued: answer without paying for the work. The
+          // scheduler counted the shed itself.
           ServeMetrics::get().requests.add(1);
           ServeMetrics::get().timeouts.add(1);
           response = format_timeout_response(kTimeoutInQueue);
         } else {
-          try {
-            fault::raise_if_armed(fault::kSitePoolTask);
-            response = kind == BlockKind::kDeploy ? handle_deploy(block, token)
-                       : kind == BlockKind::kShard ? handle_shard(block, token)
-                                                   : handle(block, token);
-          } catch (const std::exception& e) {
-            counters_.errors.fetch_add(1);
-            ServeMetrics::get().errors.add(1);
-            fault::note_degraded();
-            response = format_error_response(std::string("internal error: ") +
-                                             e.what());
-          }
+          response = run_block(block, kind, token, /*pool_task=*/true);
         }
         // The leader's own session gets its response before followers are
         // delivered: complete() may re-execute followers synchronously
@@ -629,9 +587,9 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
         }
       },
       deadline, token);
+  // The scheduler counts both refusals (serve_rejected_total,
+  // serve_rejected_expired_total); the request and its verdict count here.
   if (admission == Admission::kQueueFull) {
-    counters_.requests.fetch_add(1);
-    counters_.rejected.fetch_add(1);
     ServeMetrics::get().requests.add(1);
     const std::string response = format_retry_response(
         strformat("admission queue full (%lld in flight), retry later",
@@ -643,9 +601,6 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   } else if (admission == Admission::kExpired) {
     // Dead on arrival (deadline_ms 0, or a queue-side client stall ate the
     // whole budget before the block finished framing).
-    counters_.requests.fetch_add(1);
-    counters_.timeouts.fetch_add(1);
-    counters_.rejected_expired.fetch_add(1);
     ServeMetrics::get().requests.add(1);
     ServeMetrics::get().timeouts.add(1);
     post(seq, format_timeout_response(kTimeoutAtAdmission));
@@ -666,6 +621,24 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   }
 }
 
+std::string SynthServer::run_block(const std::string& block, BlockKind kind,
+                                   const CancelToken& token, bool pool_task) {
+  bool counted = false;  // each handler counts its own request on entry
+  try {
+    if (pool_task) fault::raise_if_armed(fault::kSitePoolTask);
+    counted = true;
+    return kind == BlockKind::kDeploy ? handle_deploy(block, token)
+           : kind == BlockKind::kShard ? handle_shard(block, token)
+                                       : handle(block, token);
+  } catch (const std::exception& e) {
+    ServeMetrics& sm = ServeMetrics::get();
+    if (!counted) sm.requests.add(1);
+    sm.errors.add(1);
+    fault::note_degraded();
+    return format_error_response(std::string("internal error: ") + e.what());
+  }
+}
+
 void SynthServer::deliver_coalesced(const std::string& block, BlockKind kind,
                                     std::uint64_t seq,
                                     const CancelToken& token,
@@ -677,9 +650,6 @@ void SynthServer::deliver_coalesced(const std::string& block, BlockKind kind,
       // The follower's own deadline fired while it waited on the leader: its
       // budget is the verdict that counts, never a late shared result. Same
       // accounting as queue-side shedding — the request died waiting.
-      counters_.requests.fetch_add(1);
-      counters_.timeouts.fetch_add(1);
-      counters_.shed_expired.fetch_add(1);
       sm.requests.add(1);
       sm.timeouts.add(1);
       sm.shed_expired.add(1);
@@ -687,16 +657,12 @@ void SynthServer::deliver_coalesced(const std::string& block, BlockKind kind,
       return;
     }
     const std::string magic = std::string(kResponseMagic) + " ";
-    counters_.requests.fetch_add(1);
     sm.requests.add(1);
     if (starts_with(response, magic + "ok")) {
-      counters_.ok.fetch_add(1);
       sm.ok.add(1);
     } else if (starts_with(response, magic + "retry")) {
-      counters_.rejected.fetch_add(1);
       sm.rejected.add(1);
     } else {
-      counters_.errors.fetch_add(1);
       sm.errors.add(1);
     }
     post(seq, response);
@@ -707,34 +673,22 @@ void SynthServer::deliver_coalesced(const std::string& block, BlockKind kind,
   // the scheduler, because this may run inside the leader's pool task and a
   // task must never submit to its own pool. The cost is bounded: the first
   // re-execution that completes populates the DesignCache for the rest.
-  std::string own;
-  try {
-    own = kind == BlockKind::kDeploy ? handle_deploy(block, token)
-                                     : handle(block, token);
-  } catch (const std::exception& e) {
-    counters_.errors.fetch_add(1);
-    sm.errors.add(1);
-    fault::note_degraded();
-    own = format_error_response(std::string("internal error: ") + e.what());
-  }
-  post(seq, std::move(own));
+  post(seq, run_block(block, kind, token, /*pool_task=*/false));
 }
 
 std::string SynthServer::handle_command(const std::string& command) {
   ServeMetrics& sm = ServeMetrics::get();
   if (command == "health") {
-    counters_.commands.fetch_add(1);
     sm.commands.add(1);
     return health_text();  // never drains — see health_text()
   }
   if (command == "stats" || starts_with(command, "stats ")) {
-    counters_.commands.fetch_add(1);
     sm.commands.add(1);
     scheduler_.drain();  // settle counters before reporting
     if (command == "stats") return stats_text();  // legacy sasynth-stats v1
-    // stats --format=prom|json renders the process-global registry (every
-    // instrumented subsystem, not just this server's counters). The
-    // trailing `end` line is protocol framing, stripped by clients.
+    // stats --format=prom|json renders the whole registry (every
+    // instrumented subsystem, not just the serving counts). The trailing
+    // `end` line is protocol framing, stripped by clients.
     const std::string arg = trim(command.substr(6));
     if (arg == "--format=prom") {
       return obs::MetricsRegistry::global().to_prom() + "end\n";
@@ -742,25 +696,21 @@ std::string SynthServer::handle_command(const std::string& command) {
     if (arg == "--format=json") {
       return obs::MetricsRegistry::global().to_json() + "end\n";
     }
-    counters_.errors.fetch_add(1);
     sm.errors.add(1);
     return format_error_response("unknown stats argument '" + arg +
                                  "' (expected --format=prom|json)");
   }
   if (command == "ping") {
-    counters_.commands.fetch_add(1);
     sm.commands.add(1);
     return "sasynth-pong v1\nend\n";
   }
   if (command == "shutdown") {
-    counters_.commands.fetch_add(1);
     sm.commands.add(1);
     stop_.store(true);
     shard_.stop_health_prober();  // no transports survive a shutdown
     scheduler_.drain();  // graceful: finish accepted work first
     return "sasynth-bye v1\nend\n";
   }
-  counters_.errors.fetch_add(1);
   sm.errors.add(1);
   return format_error_response("unknown command '" + command + "'");
 }

@@ -1,8 +1,8 @@
-// The synthesis server: protocol sessions + DesignCache + scheduler +
-// counters, behind any line-based transport (stdio, TCP, tests).
+// The synthesis server: protocol sessions + DesignCache + scheduler, behind
+// any line-based transport (stdio, TCP, tests).
 //
-// One SynthServer is shared by every session of a deployment: the cache, the
-// admission queue and the counters are global, while each serve() call runs
+// One SynthServer is shared by every session of a deployment: the cache and
+// the admission queue are global, while each serve() call runs
 // its own session (request framing, ordered responses, its own writer
 // thread). handle() — the per-request unit — is thread-safe and a pure
 // function of the request text, so responses are byte-identical regardless
@@ -70,31 +70,6 @@ struct ServeOptions {
   /// Hedge delay for slow shard peers, milliseconds (--shard-hedge-ms);
   /// 0 disables hedging.
   std::int64_t shard_hedge_ms = 0;
-};
-
-/// Monotonic per-server counters, exposed through the `stats` command.
-struct ServerCounters {
-  std::atomic<std::int64_t> requests{0};   ///< request blocks received
-  std::atomic<std::int64_t> ok{0};
-  std::atomic<std::int64_t> errors{0};
-  std::atomic<std::int64_t> rejected{0};   ///< backpressure refusals
-  std::atomic<std::int64_t> timeouts{0};   ///< timeout verdicts (all causes)
-  /// Deadline-shedding split of `timeouts`: dead on arrival vs died queued
-  /// (including coalesced followers whose own deadline fired while waiting
-  /// on a leader).
-  std::atomic<std::int64_t> rejected_expired{0};
-  std::atomic<std::int64_t> shed_expired{0};
-  /// Requests answered by joining another session's identical in-flight
-  /// request (singleflight) instead of executing their own.
-  std::atomic<std::int64_t> coalesced{0};
-  std::atomic<std::int64_t> commands{0};   ///< stats/ping/health/shutdown
-  std::atomic<std::int64_t> dse_runs{0};
-  /// Sum of DseStats::work_items over all fresh explorations — the flatness
-  /// of this counter across a warm-cache replay is the proof that cache hits
-  /// never re-enter enumerate_phase1.
-  std::atomic<std::int64_t> dse_work_items{0};
-  std::atomic<std::int64_t> wall_us_total{0};  ///< per-request wall time, summed
-  std::atomic<std::int64_t> wall_us_max{0};
 };
 
 class SynthServer {
@@ -173,7 +148,9 @@ class SynthServer {
   std::string handle_command(const std::string& command);
 
   /// `stats` command payload (drained sessions make it deterministic up to
-  /// wall-clock fields).
+  /// wall-clock fields). Counts come from the process-global metrics
+  /// registry, so they read zero while metrics are off (sasynthd turns them
+  /// on; this class never does) and cover every server in the process.
   std::string stats_text() const;
 
   /// `health` command payload. Unlike `stats` it does NOT drain first — an
@@ -193,13 +170,18 @@ class SynthServer {
   bool draining() const { return draining_.load(); }
 
   const ServeOptions& options() const { return options_; }
-  const ServerCounters& counters() const { return counters_; }
   DesignCache& cache() { return cache_; }
   SweepCache& sweep_cache() { return sweep_cache_; }
   RequestScheduler& scheduler() { return scheduler_; }
   SingleFlight& singleflight() { return singleflight_; }
 
  private:
+  /// Runs `block` through its handler. A throw — from the handler, or from
+  /// the pool.task fault site in front of it when `pool_task` — degrades to
+  /// an `internal error` response, counted as one request and one error.
+  std::string run_block(const std::string& block, BlockKind kind,
+                        const CancelToken& token, bool pool_task);
+
   /// Follower-side delivery of a completed flight (see submit_session_block).
   void deliver_coalesced(const std::string& block, BlockKind kind,
                          std::uint64_t seq, const CancelToken& token,
@@ -210,7 +192,6 @@ class SynthServer {
   ShardCoordinator shard_;
   DesignCache cache_;
   SweepCache sweep_cache_;
-  ServerCounters counters_;
   SingleFlight singleflight_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};

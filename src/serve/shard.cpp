@@ -3,10 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -23,16 +21,6 @@
 namespace sasynth {
 
 namespace {
-
-bool parse_int64(const std::string& token, std::int64_t* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
 
 /// Process-global shard instrumentation (docs/OBSERVABILITY.md).
 struct ShardMetrics {
@@ -153,8 +141,8 @@ ParsedShardRequest parse_shard_request_block(const std::string& block) {
       if (have_items) return fail("duplicate shard_items field");
       std::int64_t begin = 0;
       std::int64_t end = 0;
-      if (parts.size() != 3 || !parse_int64(parts[1], &begin) ||
-          !parse_int64(parts[2], &end)) {
+      if (parts.size() != 3 || !parse_int64_strict(parts[1], &begin) ||
+          !parse_int64_strict(parts[2], &end)) {
         return fail("shard_items expects two integer values (begin end)");
       }
       if (begin < 0 || end < begin) {
@@ -232,7 +220,8 @@ ShardPartial parse_shard_response(const std::string& text,
   // protocol error and the range degrades to local re-execution.
   auto want_int_line = [&](const char* key, std::int64_t* out) -> bool {
     const std::vector<std::string> parts = split_ws(next_line());
-    return parts.size() == 2 && parts[0] == key && parse_int64(parts[1], out);
+    return parts.size() == 2 && parts[0] == key &&
+           parse_int64_strict(parts[1], out);
   };
   std::int64_t cancelled = 0;
   std::int64_t candidates = 0;
@@ -375,7 +364,7 @@ std::vector<DseCandidate> ShardCoordinator::local_window(
 
 std::vector<DseCandidate> ShardCoordinator::run_round(
     const ServeRequest& request, const LoopNest& nest, double util,
-    DseStats* stats, bool* cancelled) const {
+    DseStats* stats) const {
   obs::ScopedSpan span("shard.fanout", "shard");
   DseOptions opts = request.dse;
   opts.min_dsp_util = util;
@@ -485,7 +474,7 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
   std::vector<std::vector<DseCandidate>> lists(peers);
   auto convert = [&](const ShardPartial& partial,
                      std::vector<DseCandidate>* out) {
-    if (partial.cancelled) *cancelled = true;
+    if (partial.cancelled) stats->cancelled = true;
     out->reserve(partial.designs.size());
     for (const DesignPoint& design : partial.designs) {
       // Recompute the estimate and resource model locally: the models are
@@ -515,14 +504,14 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
     if (state.skipped) {
       degrade(state, "breaker open for peer " + options_.peers[p]);
       lists[p] = local_window(request, nest, util, state.begin, state.end,
-                              cancelled);
+                              &stats->cancelled);
       continue;
     }
     if (!state.attempted) {
       // Cancelled before dispatch: the bounded local sweep yields the
       // best-so-far cut, same as in-process. Not a peer failure.
       lists[p] = local_window(request, nest, util, state.begin, state.end,
-                              cancelled);
+                              &stats->cancelled);
       continue;
     }
     bool done;
@@ -554,7 +543,7 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
           degrade(state, state.partial.error.empty() ? "item-count mismatch"
                                                      : state.partial.error);
         }
-        if (local_cancelled) *cancelled = true;
+        if (local_cancelled) stats->cancelled = true;
         lists[p] = std::move(local);
         ShardMetrics::get().hedge_wins.add(1);
       }
@@ -567,7 +556,7 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
       degrade(state, state.partial.error.empty() ? "item-count mismatch"
                                                  : state.partial.error);
       lists[p] = local_window(request, nest, util, state.begin, state.end,
-                              cancelled);
+                              &stats->cancelled);
     }
   }
 
@@ -601,53 +590,14 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
 
 DseResult ShardCoordinator::explore(const ServeRequest& request,
                                     const LoopNest& nest) const {
-  const DseOptions& base = request.dse;
-  DseResult result;
-  result.stats.effective_min_dsp_util = base.min_dsp_util;
-  bool cancelled = false;
-  std::vector<DseCandidate> all =
-      run_round(request, nest, base.min_dsp_util, &result.stats, &cancelled);
-  if (all.empty() && !cancelled && base.auto_relax_util &&
-      base.min_dsp_util > 0.0) {
-    // Mirror of DesignSpaceExplorer::explore's relax loop — driven here, at
-    // the global level, because "phase 1 found nothing" is only knowable
-    // after the reduce (one worker's empty window says nothing).
-    double relaxed = base.min_dsp_util;
-    while (all.empty() && !cancelled && relaxed > 1e-3) {
-      relaxed /= 2.0;
-      ++result.stats.util_relaxations;
-      all = run_round(request, nest, relaxed, &result.stats, &cancelled);
-    }
-    if (all.empty() && !cancelled) {
-      relaxed = 0.0;
-      ++result.stats.util_relaxations;
-      all = run_round(request, nest, relaxed, &result.stats, &cancelled);
-    }
-    result.stats.effective_min_dsp_util = relaxed;
-  }
-  result.stats.cancelled = cancelled;
-  const std::size_t keep =
-      std::min<std::size_t>(all.size(), static_cast<std::size_t>(base.top_k));
-  result.top.assign(all.begin(),
-                    all.begin() + static_cast<std::ptrdiff_t>(keep));
-
-  // Phase 2 runs on the coordinator: the top-K list is short, and shipping
-  // realized clocks over the wire would trade bit-exactness for nothing.
-  double phase2_wall = 0.0;
-  {
-    obs::ScopedSpan phase2_span("dse.phase2", "dse");
-    phase2_span.arg("candidates", static_cast<std::int64_t>(result.top.size()));
-    const DesignSpaceExplorer explorer(request.device, request.dtype, base);
-    explorer.run_phase2(nest, result.top);
-    phase2_wall = phase2_span.elapsed_seconds();
-  }
-  result.stats.phase2_seconds += phase2_wall;
-  result.stats.phase2_cpu_seconds += phase2_wall;
-
-  if (base.cancel.cancelled()) result.stats.cancelled = true;
-  result.status =
-      result.stats.cancelled ? DseStatus::kCancelled : DseStatus::kOk;
-  return result;
+  // Only phase 1 fans out. Phase 2 runs on the coordinator: the top-K list
+  // is short, and shipping realized clocks over the wire would trade
+  // bit-exactness for nothing.
+  const DesignSpaceExplorer explorer(request.device, request.dtype,
+                                     request.dse);
+  return explorer.explore(nest, [&](double util, DseStats* stats) {
+    return run_round(request, nest, util, stats);
+  });
 }
 
 }  // namespace sasynth

@@ -180,23 +180,24 @@ class ShardCoordinator {
   /// drain/shutdown so the prober never outlives the transports.
   void stop_health_prober();
 
-  /// Sharded two-phase DSE for one resolved request. Mirrors
-  /// DesignSpaceExplorer::explore exactly — including the auto_relax_util
-  /// retry loop, which must be driven globally (a per-worker relax decision
-  /// would depend on where the range boundaries fell): each round fans the
-  /// full item list out at one utilization floor, and only a globally empty
-  /// round relaxes. `request.dse.cancel` governs both the peer RPC budget
-  /// and local fallbacks; a fired token yields DseStatus::kCancelled with
-  /// the best-so-far merge, same as in-process.
+  /// Sharded two-phase DSE for one resolved request: DesignSpaceExplorer::
+  /// explore with run_round as its phase 1. The auto_relax_util retry loop
+  /// stays global (a per-worker relax decision would depend on where the
+  /// range boundaries fell): each round fans the full item list out at one
+  /// utilization floor, and only a globally empty round relaxes.
+  /// `request.dse.cancel` governs both the peer RPC budget and local
+  /// fallbacks; a fired token yields DseStatus::kCancelled with the
+  /// best-so-far merge, same as in-process.
   DseResult explore(const ServeRequest& request, const LoopNest& nest) const;
 
  private:
   /// One utilization round: split, consult the breaker registry, fan out,
   /// degrade skipped/failed ranges to local re-execution (hedging slow
-  /// ones), merge. Appends `cancelled` into *cancelled (never clears it).
+  /// ones), merge. Sets stats->cancelled when any range was cut (never
+  /// clears it).
   std::vector<DseCandidate> run_round(const ServeRequest& request,
                                       const LoopNest& nest, double util,
-                                      DseStats* stats, bool* cancelled) const;
+                                      DseStats* stats) const;
 
   /// One peer RPC (connect + send + receive + parse). ok=false on any
   /// transport/protocol failure; never throws.

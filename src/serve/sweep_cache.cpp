@@ -7,9 +7,9 @@ namespace sasynth {
 
 namespace {
 
-/// Process-global mirrors (docs/OBSERVABILITY.md, `sweep_cache_*` family).
-/// Aggregate across every SweepCache in the process, like the serve_*
-/// mirrors of ServerCounters.
+/// Sweep cache metrics (docs/OBSERVABILITY.md, `sweep_cache_*` family): the
+/// only count of sweep cache events, summed over every SweepCache in the
+/// process. Insertions cover both tiers, refreshes included.
 struct SweepCacheMetrics {
   obs::Counter& exact_hits;
   obs::Counter& exact_misses;
@@ -98,7 +98,6 @@ void SweepCache::store_locked(char tier, std::uint64_t key,
                               const std::string& context,
                               const std::string& item, bool found_fit,
                               const std::vector<std::int64_t>& best_s) {
-  ++stats_.insertions;
   SweepCacheMetrics::get().insertions.add(1);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -129,7 +128,6 @@ void SweepCache::store_locked(char tier, std::uint64_t key,
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     entries_.erase(victim);
-    ++stats_.evictions;
     SweepCacheMetrics::get().evictions.add(1);
   }
   SweepCacheMetrics::get().entries.set(
@@ -143,11 +141,9 @@ bool SweepCache::lookup_exact(const std::string& context,
   std::lock_guard<std::mutex> lock(mutex_);
   Entry* entry = find_locked('x', key, context, item);
   if (entry == nullptr) {
-    ++stats_.exact_misses;
     SweepCacheMetrics::get().exact_misses.add(1);
     return false;
   }
-  ++stats_.exact_hits;
   SweepCacheMetrics::get().exact_hits.add(1);
   out->found_fit = entry->found_fit;
   out->best_s = entry->best_s;
@@ -171,11 +167,9 @@ bool SweepCache::lookup_hint(const std::string& context,
   std::lock_guard<std::mutex> lock(mutex_);
   Entry* entry = find_locked('h', key, context, item);
   if (entry == nullptr) {
-    ++stats_.hint_misses;
     SweepCacheMetrics::get().hint_misses.add(1);
     return false;
   }
-  ++stats_.hint_hits;
   SweepCacheMetrics::get().hint_hits.add(1);
   *hint_s = entry->best_s;
   return true;
@@ -188,11 +182,6 @@ void SweepCache::store_hint(const std::string& context,
   const std::uint64_t key = key_hash('h', context, item);
   std::lock_guard<std::mutex> lock(mutex_);
   store_locked('h', key, context, item, /*found_fit=*/true, best_s);
-}
-
-SweepCacheStats SweepCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::size_t SweepCache::size() const {

@@ -24,7 +24,8 @@
 // Bounded: one LRU across both tiers, `capacity` entries. Context strings
 // (hundreds of bytes, shared by every item of a sweep) are interned through
 // shared_ptr so each distinct context is stored once. Thread-safe; the DSE
-// stores from worker threads.
+// stores from worker threads. Hits, misses, insertions and evictions are
+// counted in the metrics registry only (`sweep_cache_*`).
 #pragma once
 
 #include <cstdint>
@@ -38,15 +39,6 @@
 #include "core/sweep_memo.h"
 
 namespace sasynth {
-
-struct SweepCacheStats {
-  std::int64_t exact_hits = 0;
-  std::int64_t exact_misses = 0;
-  std::int64_t hint_hits = 0;
-  std::int64_t hint_misses = 0;
-  std::int64_t insertions = 0;  ///< both tiers, refreshes included
-  std::int64_t evictions = 0;   ///< LRU evictions (both tiers)
-};
 
 class SweepCache : public SweepMemo {
  public:
@@ -66,7 +58,6 @@ class SweepCache : public SweepMemo {
   void store_hint(const std::string& context, const std::string& item,
                   const std::vector<std::int64_t>& best_s) override;
 
-  SweepCacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
@@ -96,7 +87,6 @@ class SweepCache : public SweepMemo {
   /// context text -> interned copy. Weak so evicting the last entry of a
   /// context releases its memory; expired slots are swept opportunistically.
   std::unordered_map<std::string, std::weak_ptr<const std::string>> interned_;
-  SweepCacheStats stats_;
 };
 
 }  // namespace sasynth

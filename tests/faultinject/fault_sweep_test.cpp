@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "serve/server.h"
 #include "support/loop_harness.h"
+#include "support/metric_deltas.h"
 
 namespace sasynth {
 namespace {
@@ -125,10 +126,6 @@ class FaultSweepTest : public ::testing::Test {
     }();
     return ref;
   }
-
-  static obs::Counter& degraded_counter() {
-    return obs::MetricsRegistry::global().counter("degraded_total");
-  }
 };
 
 /// How a (site, kind) pair is expected to surface.
@@ -201,12 +198,20 @@ TEST_F(FaultSweepTest, EverySiteTimesEveryKindDegradesGracefully) {
       spec.count = 1;
       fault::arm(site_name, spec);
 
-      const std::int64_t degraded_before = degraded_counter().value();
+      const MetricDeltas delta;
       SynthServer server(sweep_options());
       const std::string transcript = run_tcp_session(server);
-      const std::int64_t degraded =
-          degraded_counter().value() - degraded_before;
+      const std::int64_t degraded = delta("degraded_total");
       const std::int64_t injected = fault::injected_total();
+
+      // Every request block is counted exactly once, with exactly one
+      // verdict — whichever site faulted (the script sends no malformed
+      // commands, whose errors carry no request).
+      server.scheduler().drain();
+      EXPECT_EQ(delta("serve_requests_total"),
+                delta("serve_ok_total") + delta("serve_errors_total") +
+                    delta("serve_timeouts_total") +
+                    delta("serve_rejected_total"));
 
       switch (expected_outcome(site_name, kind)) {
         case Outcome::kInvisible:
@@ -297,11 +302,7 @@ TEST_F(FaultSweepTest, StallWithIoTimeoutEndsTheSession) {
   spec.count = 1;
   fault::arm(fault::kSiteTcpRead, spec);
 
-  obs::Counter& io_timeouts =
-      obs::MetricsRegistry::global().counter("io_timeouts_total");
-  const std::int64_t timeouts_before = io_timeouts.value();
-  const std::int64_t degraded_before = degraded_counter().value();
-
+  const MetricDeltas delta;
   ServeOptions options = sweep_options();
   options.io_timeout_ms = 30000;  // never actually waited: stall == elapsed
   SynthServer server(options);
@@ -310,8 +311,8 @@ TEST_F(FaultSweepTest, StallWithIoTimeoutEndsTheSession) {
   // request was ever parsed.
   EXPECT_TRUE(transcript.empty()) << transcript;
   EXPECT_EQ(fault::site(fault::kSiteTcpRead).injected(), 1);
-  EXPECT_EQ(io_timeouts.value() - timeouts_before, 1);
-  EXPECT_GT(degraded_counter().value() - degraded_before, 0);
+  EXPECT_EQ(delta("io_timeouts_total"), 1);
+  EXPECT_GT(delta("degraded_total"), 0);
 
   // Disarmed replay over the same cache: byte-identical to the reference.
   fault::disarm_all();
@@ -327,9 +328,10 @@ TEST_F(FaultSweepTest, AllDiskFaultsFallBackToFreshDse) {
   ASSERT_TRUE(fault::parse_and_arm(
                   "cache.load:error@1x*,cache.store:enospc@1x*", &error))
       << error;
+  const MetricDeltas delta;
   SynthServer server(sweep_options());
   EXPECT_EQ(run_tcp_session(server), ref);
-  EXPECT_GT(server.counters().dse_runs.load(), 0);
+  EXPECT_GT(delta("serve_dse_runs_total"), 0);
 }
 
 }  // namespace

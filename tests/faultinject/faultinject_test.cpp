@@ -155,6 +155,10 @@ TEST_F(FaultInjectTest, SpecStringRejectsMalformedEntries) {
       "tcp.read:error@0",   // after must be >= 1
       "tcp.read:error@2x0", // count must be >= 1 or *
       "tcp.read:error@x3",  // empty after
+      // Overflow: a value saturated to LLONG_MAX would arm a fault that
+      // never fires.
+      "tcp.read:eintr@99999999999999999999x5",
+      "tcp.read:eintr@1x99999999999999999999",
   };
   for (const char* spec : bad) {
     fault::disarm_all();

@@ -109,6 +109,12 @@ TEST_F(FlagStrictnessTest, DaemonRejectsBadPeerList) {
   EXPECT_EQ(run_tool(kDaemonPath, "--peers 127.0.0.1:abc", &out), 2) << out;
   EXPECT_NE(out.find("--peers"), std::string::npos) << out;
   EXPECT_EQ(run_tool(kDaemonPath, "--peers example.com:80", &out), 2) << out;
+  // A leading space in the port is garbage, as in every other numeric flag
+  // (strtoll alone would skip it). stdin is closed so an accepted value
+  // cannot leave the daemon waiting on input.
+  EXPECT_EQ(run_tool(kDaemonPath, "--peers '127.0.0.1: 9' < /dev/null", &out),
+            2)
+      << out;
 }
 
 TEST_F(FlagStrictnessTest, CliRejectsTheSilentAtoiFamilyOnEveryNumericFlag) {

@@ -67,6 +67,19 @@ TEST_F(MetricsTest, GaugeSetAndAdd) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+TEST_F(MetricsTest, GaugeSetMaxKeepsTheLargestValue) {
+  MetricsRegistry registry;
+  Gauge& gauge = registry.gauge("longest_us");
+  gauge.set_max(40);
+  gauge.set_max(15);  // smaller: ignored
+  EXPECT_EQ(gauge.value(), 40);
+  gauge.set_max(90);
+  EXPECT_EQ(gauge.value(), 90);
+  set_metrics_enabled(false);
+  gauge.set_max(500);  // gated like every other recording call
+  EXPECT_EQ(gauge.value(), 90);
+}
+
 TEST_F(MetricsTest, DisabledPathIsANoOp) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("gated_total");

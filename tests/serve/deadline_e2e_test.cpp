@@ -19,6 +19,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/loop_harness.h"
+#include "support/metric_deltas.h"
 #include "util/deadline.h"
 #include "util/strings.h"
 
@@ -64,6 +65,7 @@ std::string read_one_block(int fd) {
 }
 
 TEST(HandleDeadlineTest, TimeoutResponseIsNeverCached) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -74,20 +76,20 @@ TEST(HandleDeadlineTest, TimeoutResponseIsNeverCached) {
       kTinyBlock, CancelToken::with_deadline(Deadline::after_ms(0)));
   EXPECT_TRUE(starts_with(timeout_response, "sasynth-response v1 timeout"))
       << timeout_response;
-  EXPECT_EQ(server.counters().timeouts.load(), 1);
-  EXPECT_EQ(server.counters().dse_runs.load(), 1);
+  EXPECT_EQ(delta("serve_timeouts_total"), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 1);
 
   // The same request without a deadline must re-run the DSE (dse_runs goes
   // up): the cancelled sweep was not stored into the cache.
   const std::string full_response = server.handle(kTinyBlock);
   EXPECT_TRUE(starts_with(full_response, "sasynth-response v1 ok"))
       << full_response;
-  EXPECT_EQ(server.counters().dse_runs.load(), 2);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 2);
 
   // And the full run *was* cached: a third request is a hit.
   const std::string cached_response = server.handle(kTinyBlock);
   EXPECT_EQ(cached_response, full_response);
-  EXPECT_EQ(server.counters().dse_runs.load(), 2);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 2);
 }
 
 TEST(HandleDeadlineTest, CutTimeoutCarriesDeterministicPartialPayload) {
@@ -110,11 +112,12 @@ TEST(HandleDeadlineTest, CutTimeoutCarriesDeterministicPartialPayload) {
     ServeOptions options;
     options.jobs = 1;
     options.cache_enabled = false;
+    const MetricDeltas delta;
     SynthServer server(options);
     CancelToken token = CancelToken::cancellable();
     token.set_cut_at_item(cut);
     const std::string response = server.handle(block, token);
-    EXPECT_EQ(server.counters().timeouts.load(), 1);
+    EXPECT_EQ(delta("serve_timeouts_total"), 1);
     return response;
   };
 
@@ -143,6 +146,7 @@ TEST(ServerHealthTest, HealthReportsStateWithoutDraining) {
 }
 
 TEST(ServerHealthTest, HealthCommandAnsweredInSession) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -159,10 +163,11 @@ TEST(ServerHealthTest, HealthCommandAnsweredInSession) {
   EXPECT_NE(transcript.find("sasynth-health v1"), std::string::npos)
       << transcript;
   EXPECT_NE(transcript.find("uptime_s "), std::string::npos);
-  EXPECT_EQ(server.counters().commands.load(), 1);
+  EXPECT_EQ(delta("serve_commands_total"), 1);
 }
 
 TEST(ServerDeadlineTest, ZeroDeadlineShedsAtAdmission) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -182,10 +187,10 @@ TEST(ServerDeadlineTest, ZeroDeadlineShedsAtAdmission) {
   EXPECT_EQ(transcript,
             "sasynth-response v1 timeout deadline expired before admission\n"
             "end\n");
-  EXPECT_EQ(server.counters().rejected_expired.load(), 1);
-  EXPECT_EQ(server.counters().timeouts.load(), 1);
+  EXPECT_EQ(delta("serve_rejected_expired_total"), 1);
+  EXPECT_EQ(delta("serve_timeouts_total"), 1);
   // Shed at admission: the DSE never ran.
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 }
 
 TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
@@ -193,6 +198,7 @@ TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
   // come back as `timeout` with a valid partial design, within
   // deadline + slack, over a real socket.
   constexpr std::int64_t kDeadlineMs = 500;
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 4;
   options.cache_enabled = false;
@@ -228,7 +234,7 @@ TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
   EXPECT_NE(response.find("sasynth-design v1"), std::string::npos) << response;
   EXPECT_NE(response.find("resource dsp="), std::string::npos) << response;
   EXPECT_LT(elapsed_ms, kDeadlineMs + kLatencySlackMs);
-  EXPECT_EQ(server.counters().timeouts.load(), 1);
+  EXPECT_EQ(delta("serve_timeouts_total"), 1);
 }
 
 TEST(TcpDeadlineTest, NoDeadlineResponseByteIdenticalAcrossJobs) {

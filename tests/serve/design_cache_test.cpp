@@ -9,6 +9,7 @@
 #include "core/design_io.h"
 #include "loopnest/conv_nest.h"
 #include "nn/network.h"
+#include "support/metric_deltas.h"
 #include "util/rng.h"
 
 namespace sasynth {
@@ -38,10 +39,16 @@ class DesignCacheTest : public ::testing::Test {
     return dir.string();
   }
 
+  /// Lookups that did not hit (the registry counts probes and hits).
+  static std::int64_t misses(const MetricDeltas& delta) {
+    return delta("cache_probes_total") - delta("cache_hits_total");
+  }
+
   LoopNest nest_;
 };
 
 TEST_F(DesignCacheTest, MemoryHitAfterInsert) {
+  const MetricDeltas delta;
   DesignCache cache("", 8);
   DesignPoint out;
   EXPECT_FALSE(cache.lookup("req-a", nest_, &out));
@@ -50,15 +57,15 @@ TEST_F(DesignCacheTest, MemoryHitAfterInsert) {
   EXPECT_EQ(out, sys1());
   EXPECT_FALSE(cache.lookup("req-b", nest_, &out));
 
-  const DesignCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_EQ(stats.disk_hits, 0);
-  EXPECT_EQ(stats.insertions, 1);
+  EXPECT_EQ(delta("cache_hits_total"), 1);
+  EXPECT_EQ(misses(delta), 2);
+  EXPECT_EQ(delta("cache_disk_hits_total"), 0);
+  EXPECT_EQ(delta("cache_stores_total"), 1);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST_F(DesignCacheTest, LruEvictsTheColdestEntry) {
+  const MetricDeltas delta;
   DesignCache cache("", 2);
   cache.insert("a", sys1());
   cache.insert("b", sys2());
@@ -69,7 +76,7 @@ TEST_F(DesignCacheTest, LruEvictsTheColdestEntry) {
   EXPECT_TRUE(cache.lookup("a", nest_, &out));
   EXPECT_FALSE(cache.lookup("b", nest_, &out));
   EXPECT_TRUE(cache.lookup("c", nest_, &out));
-  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(delta("cache_evictions_total"), 1);
 }
 
 TEST_F(DesignCacheTest, ZeroCapacityClampsToOne) {
@@ -86,15 +93,16 @@ TEST_F(DesignCacheTest, DiskEntrySurvivesRestart) {
     DesignCache cache(dir, 8);
     cache.insert("req-a", sys1());
   }
+  const MetricDeltas delta;
   DesignCache fresh(dir, 8);
   DesignPoint out;
   ASSERT_TRUE(fresh.lookup("req-a", nest_, &out));
   EXPECT_EQ(out, sys1());
-  EXPECT_EQ(fresh.stats().disk_hits, 1);
+  EXPECT_EQ(delta("cache_disk_hits_total"), 1);
   // Promoted into memory: second lookup does not count another disk hit.
   ASSERT_TRUE(fresh.lookup("req-a", nest_, &out));
-  EXPECT_EQ(fresh.stats().disk_hits, 1);
-  EXPECT_EQ(fresh.stats().hits, 2);
+  EXPECT_EQ(delta("cache_disk_hits_total"), 1);
+  EXPECT_EQ(delta("cache_hits_total"), 2);
 }
 
 TEST_F(DesignCacheTest, EntryPathUsesThe16DigitHexKey) {
@@ -120,13 +128,14 @@ TEST_F(DesignCacheTest, TruncatedDiskEntryFallsBackToMiss) {
   // Every truncation of the entry file either loads fully or misses cleanly.
   for (std::size_t len = 0; len < blob.size(); len += 7) {
     std::ofstream(path, std::ios::trunc) << blob.substr(0, len);
+    const MetricDeltas delta;
     DesignCache fresh(dir, 8);
     DesignPoint out;
     const bool hit = fresh.lookup("req-a", nest_, &out);
     if (hit) {
       EXPECT_EQ(out, sys1()) << "truncated to " << len;
     } else {
-      EXPECT_EQ(fresh.stats().load_failures + fresh.stats().misses, 2)
+      EXPECT_EQ(delta("cache_load_failures_total") + misses(delta), 2)
           << "truncated to " << len;
     }
   }
@@ -139,11 +148,12 @@ TEST_F(DesignCacheTest, GarbageDiskEntryFallsBackToMiss) {
   const std::string path = seed.entry_path(fnv1a64("req-a"));
   std::ofstream(path, std::ios::trunc) << "not a cache entry at all\n\x01\x02";
 
+  const MetricDeltas delta;
   DesignCache fresh(dir, 8);
   DesignPoint out;
   EXPECT_FALSE(fresh.lookup("req-a", nest_, &out));
-  EXPECT_EQ(fresh.stats().load_failures, 1);
-  EXPECT_EQ(fresh.stats().misses, 1);
+  EXPECT_EQ(delta("cache_load_failures_total"), 1);
+  EXPECT_EQ(misses(delta), 1);
 }
 
 TEST_F(DesignCacheTest, CanonicalMismatchOnDiskIsRejected) {
@@ -156,10 +166,11 @@ TEST_F(DesignCacheTest, CanonicalMismatchOnDiskIsRejected) {
       seed.entry_path(fnv1a64("req-b")), seed.entry_path(fnv1a64("req-a")),
       std::filesystem::copy_options::overwrite_existing);
 
+  const MetricDeltas delta;
   DesignCache fresh(dir, 8);
   DesignPoint out;
   EXPECT_FALSE(fresh.lookup("req-a", nest_, &out));
-  EXPECT_GE(fresh.stats().load_failures, 1);
+  EXPECT_GE(delta("cache_load_failures_total"), 1);
 }
 
 TEST_F(DesignCacheTest, StaleEntryForADifferentNestIsRejected) {
@@ -170,10 +181,11 @@ TEST_F(DesignCacheTest, StaleEntryForADifferentNestIsRejected) {
   DesignCache seed(dir, 8);
   seed.insert("req-a", sys1());
 
+  const MetricDeltas delta;
   DesignCache fresh(dir, 8);
   DesignPoint out;
   EXPECT_FALSE(fresh.lookup("req-a", other_nest, &out));
-  EXPECT_GE(fresh.stats().load_failures, 1);
+  EXPECT_GE(delta("cache_load_failures_total"), 1);
 }
 
 TEST_F(DesignCacheTest, DiskStoreFailureIsCountedAndMemoryTierSurvives) {
@@ -184,40 +196,42 @@ TEST_F(DesignCacheTest, DiskStoreFailureIsCountedAndMemoryTierSurvives) {
   std::ofstream(blocker) << "not a directory";
   const std::string dir = blocker + "/sub";
 
+  const MetricDeltas delta;
   DesignCache cache(dir, 8);
   cache.insert("req-a", sys1());
   cache.insert("req-b", sys2());
-  DesignCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 2);
-  EXPECT_EQ(stats.disk_store_failures, 2);
+  EXPECT_EQ(delta("cache_stores_total"), 2);
+  EXPECT_EQ(delta("cache_disk_store_failures_total"), 2);
 
   // The memory tier is untouched by the disk failure.
   DesignPoint out;
   ASSERT_TRUE(cache.lookup("req-a", nest_, &out));
   EXPECT_EQ(out, sys1());
 
-  // The accounting invariant: insertions - disk_store_failures bounds what a
+  // The accounting invariant: stores - disk_store_failures bounds what a
   // fresh process can find on disk. Here that is zero, and indeed:
   DesignCache fresh(dir, 8);
   EXPECT_FALSE(fresh.lookup("req-a", nest_, &out));
   EXPECT_FALSE(fresh.lookup("req-b", nest_, &out));
-  EXPECT_EQ(fresh.stats().disk_hits, 0);
+  EXPECT_EQ(delta("cache_disk_hits_total"), 0);
 }
 
 TEST_F(DesignCacheTest, HealthyStoresCountNoFailures) {
   const std::string dir = temp_dir("storefail_healthy");
+  const MetricDeltas delta;
   DesignCache cache(dir, 8);
   cache.insert("req-a", sys1());
-  EXPECT_EQ(cache.stats().insertions, 1);
-  EXPECT_EQ(cache.stats().disk_store_failures, 0);
+  EXPECT_EQ(delta("cache_stores_total"), 1);
+  EXPECT_EQ(delta("cache_disk_store_failures_total"), 0);
 }
 
 TEST_F(DesignCacheTest, MemoryOnlyCacheNeverCountsStoreFailures) {
   // No directory configured: there is no disk tier to fail, so insertions
   // must not be misreported as failed stores.
+  const MetricDeltas delta;
   DesignCache cache("", 8);
   cache.insert("req-a", sys1());
-  EXPECT_EQ(cache.stats().disk_store_failures, 0);
+  EXPECT_EQ(delta("cache_disk_store_failures_total"), 0);
 }
 
 TEST_F(DesignCacheTest, MemoryOnlyWhenDirEmpty) {

@@ -17,6 +17,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/loop_harness.h"
+#include "support/metric_deltas.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -91,6 +92,7 @@ TEST_F(EventLoopTest, StormOfMixedSessionsMatchesSerialReplay) {
   // Serial reference on an identically-configured fresh server.
   std::vector<std::string> blocks;
   std::vector<std::string> expected;
+  const MetricDeltas serial;
   SynthServer reference({});
   for (int u = 0; u < kUnique; ++u) {
     blocks.push_back(request_block(0.1 + 0.05 * u));
@@ -99,8 +101,9 @@ TEST_F(EventLoopTest, StormOfMixedSessionsMatchesSerialReplay) {
               std::string::npos)
         << expected.back();
   }
-  const std::int64_t serial_work = reference.counters().dse_work_items.load();
+  const std::int64_t serial_work = serial("serve_dse_work_items_total");
 
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 4;
   options.queue_limit = 256;
@@ -126,10 +129,10 @@ TEST_F(EventLoopTest, StormOfMixedSessionsMatchesSerialReplay) {
           << "session " << u << "/" << d;
     }
   }
-  EXPECT_EQ(server.counters().requests.load(), kUnique * kDup);
-  EXPECT_EQ(server.counters().ok.load(), kUnique * kDup);
-  EXPECT_EQ(server.counters().dse_runs.load(), kUnique);
-  EXPECT_EQ(server.counters().dse_work_items.load(), serial_work);
+  EXPECT_EQ(delta("serve_requests_total"), kUnique * kDup);
+  EXPECT_EQ(delta("serve_ok_total"), kUnique * kDup);
+  EXPECT_EQ(delta("serve_dse_runs_total"), kUnique);
+  EXPECT_EQ(delta("serve_dse_work_items_total"), serial_work);
   EXPECT_EQ(loop().open_connections(), 0);
 }
 
@@ -140,6 +143,7 @@ TEST_F(EventLoopTest, LoopStaysLiveWhileAFlightIsParked) {
   // open exactly as long as it wants, then proves the loop still answers a
   // second session while the first is parked — at jobs=1, where an inline
   // execution path would deadlock this exact sequence.
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -155,7 +159,7 @@ TEST_F(EventLoopTest, LoopStaysLiveWhileAFlightIsParked) {
   ASSERT_GE(parked, 0);
   ASSERT_TRUE(client_send_all(parked, block));
   ::shutdown(parked, SHUT_WR);
-  while (server.counters().coalesced.load() < 1) {
+  while (delta("serve_coalesced_total") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -168,7 +172,7 @@ TEST_F(EventLoopTest, LoopStaysLiveWhileAFlightIsParked) {
   EXPECT_EQ(server.singleflight().complete(key, shared, true), 1);
   EXPECT_EQ(read_to_eof(parked), shared);
   ::close(parked);
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);  // nobody ran a DSE
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);  // nobody ran a DSE
   EXPECT_EQ(stop(), 0);
 }
 

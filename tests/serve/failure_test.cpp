@@ -15,6 +15,7 @@
 #include "serve/server.h"
 #include "serve/tcp.h"
 #include "support/loop_harness.h"
+#include "support/metric_deltas.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -45,6 +46,7 @@ std::string cache_dir(const char* tag) {
 /// Satellite (a): a client that vanishes mid-response must end the session
 /// cleanly — no SIGPIPE, no hang, no work done for responses nobody reads.
 TEST(ServeFailureTest, ClientDisconnectMidResponseEndsSessionCleanly) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   LoopRunner runner(server);
 
@@ -73,12 +75,13 @@ TEST(ServeFailureTest, ClientDisconnectMidResponseEndsSessionCleanly) {
   EXPECT_EQ(runner.stop(), 0);
   // The session processed at most the pings it managed to write responses
   // for; the important part is that the process is still here.
-  EXPECT_GT(server.counters().commands.load(), 0);
+  EXPECT_GT(delta("serve_commands_total"), 0);
 }
 
 /// Satellite (b): EOF in the middle of a request block — the partial request
 /// is dropped, the session terminates, and nothing is parsed as complete.
 TEST(ServeFailureTest, HalfRequestAtEofIsDroppedNotParsed) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   LoopRunner runner(server);
 
@@ -93,7 +96,7 @@ TEST(ServeFailureTest, HalfRequestAtEofIsDroppedNotParsed) {
   // never an ok.
   EXPECT_EQ(transcript.find("sasynth-response v1 ok"), std::string::npos)
       << transcript;
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 }
 
 /// Satellite (b) continued: a read *error* (not EOF) mid-line must not
@@ -172,11 +175,12 @@ TEST(ServeFailureTest, UnlinkedCacheFileFallsBackToIdenticalResponse) {
     std::filesystem::remove(entry.path());
   }
 
+  const MetricDeltas delta;
   SynthServer server(options);  // fresh instance: memory tier is cold too
   const std::string warm = server.handle(kRequestA);
   EXPECT_EQ(warm, cold);
-  EXPECT_EQ(server.counters().dse_runs.load(), 1);  // re-explored, not served stale
-  EXPECT_EQ(server.cache().stats().disk_hits, 0);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 1);  // re-explored, not served stale
+  EXPECT_EQ(delta("cache_disk_hits_total"), 0);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include "support/metric_deltas.h"
+
 namespace sasynth {
 namespace {
 
@@ -38,6 +40,7 @@ TEST(RequestSchedulerTest, OneJobNeverExecutesOnTheSubmitter) {
   // event-loop (or stdio reader) thread, and executing a request inline
   // would block every other session behind this one. The gated task proves
   // it: try_submit returns while the task is still parked.
+  const MetricDeltas delta;
   RequestScheduler scheduler(/*jobs=*/1, /*queue_limit=*/4);
   Gate gate;
   std::atomic<int> ran{0};
@@ -52,7 +55,7 @@ TEST(RequestSchedulerTest, OneJobNeverExecutesOnTheSubmitter) {
   EXPECT_EQ(ran.load(), 1);
   EXPECT_EQ(scheduler.pending(), 0);
   EXPECT_EQ(scheduler.high_water(), 1);
-  EXPECT_EQ(scheduler.rejected(), 0);
+  EXPECT_EQ(delta("serve_rejected_total"), 0);
   EXPECT_EQ(scheduler.jobs(), 1);
 }
 
@@ -70,6 +73,7 @@ TEST(RequestSchedulerTest, DrainWaitsForAllAcceptedWork) {
 }
 
 TEST(RequestSchedulerTest, RefusesBeyondTheAdmissionLimit) {
+  const MetricDeltas delta;
   RequestScheduler scheduler(/*jobs=*/2, /*queue_limit=*/2);
   Gate gate;
   std::atomic<int> ran{0};
@@ -84,7 +88,7 @@ TEST(RequestSchedulerTest, RefusesBeyondTheAdmissionLimit) {
   // Two in flight == the limit: the third is refused, not queued.
   std::atomic<int> extra{0};
   EXPECT_EQ(Admission::kQueueFull, scheduler.try_submit([&](bool) { ++extra; }));
-  EXPECT_EQ(scheduler.rejected(), 1);
+  EXPECT_EQ(delta("serve_rejected_total"), 1);
   EXPECT_EQ(scheduler.high_water(), 2);
 
   gate.open();
@@ -104,6 +108,7 @@ TEST(RequestSchedulerTest, QueueLimitClampedToOne) {
 }
 
 TEST(RequestSchedulerTest, ExpiredDeadlineRefusedAtAdmission) {
+  const MetricDeltas delta;
   RequestScheduler scheduler(/*jobs=*/1, /*queue_limit=*/4);
   std::atomic<int> ran{0};
   // An already-expired deadline never runs the work, never takes a slot,
@@ -111,8 +116,8 @@ TEST(RequestSchedulerTest, ExpiredDeadlineRefusedAtAdmission) {
   EXPECT_EQ(Admission::kExpired,
             scheduler.try_submit([&](bool) { ++ran; }, Deadline::after_ms(0)));
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(scheduler.rejected_expired(), 1);
-  EXPECT_EQ(scheduler.rejected(), 0);
+  EXPECT_EQ(delta("serve_rejected_expired_total"), 1);
+  EXPECT_EQ(delta("serve_rejected_total"), 0);
   EXPECT_EQ(scheduler.pending(), 0);
   // A live deadline is admitted normally.
   EXPECT_EQ(Admission::kAccepted,
@@ -120,10 +125,11 @@ TEST(RequestSchedulerTest, ExpiredDeadlineRefusedAtAdmission) {
                                  Deadline::after_ms(60000)));
   scheduler.drain();
   EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(scheduler.shed_expired(), 0);
+  EXPECT_EQ(delta("serve_shed_expired_total"), 0);
 }
 
 TEST(RequestSchedulerTest, DeadlineExpiringInQueueShedsAtDequeue) {
+  const MetricDeltas delta;
   RequestScheduler scheduler(/*jobs=*/2, /*queue_limit=*/16);
   Gate gate;
   std::atomic<int> held{0};
@@ -153,10 +159,11 @@ TEST(RequestSchedulerTest, DeadlineExpiringInQueueShedsAtDequeue) {
   scheduler.drain();
   EXPECT_EQ(shed_count.load(), 1);
   EXPECT_EQ(full_runs.load(), 0);
-  EXPECT_EQ(scheduler.shed_expired(), 1);
+  EXPECT_EQ(delta("serve_shed_expired_total"), 1);
 }
 
 TEST(RequestSchedulerTest, FollowUpIsAdmissionExemptRunsOffCallerAndDrains) {
+  const MetricDeltas delta;
   RequestScheduler scheduler(/*jobs=*/2, /*queue_limit=*/1);
   Gate gate;
   std::atomic<int> ran{0};
@@ -174,7 +181,7 @@ TEST(RequestSchedulerTest, FollowUpIsAdmissionExemptRunsOffCallerAndDrains) {
   });
   EXPECT_EQ(ran.load(), 0);  // parked on workers, nothing ran inline
   EXPECT_EQ(scheduler.pending(), 2);
-  EXPECT_EQ(scheduler.rejected(), 0);
+  EXPECT_EQ(delta("serve_rejected_total"), 0);
   gate.open();
   scheduler.drain();
   EXPECT_EQ(ran.load(), 2);

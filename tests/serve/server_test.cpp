@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/metric_deltas.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -67,39 +68,42 @@ std::string run_session(SynthServer& server, const std::string& input) {
 }
 
 TEST(SynthServerTest, MalformedRequestGetsErrorResponse) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   const std::string response =
       server.handle("sasynth-request v1\nlayer 1,2\nend\n");
   EXPECT_TRUE(starts_with(response, "sasynth-response v1 error"));
-  EXPECT_EQ(server.counters().requests.load(), 1);
-  EXPECT_EQ(server.counters().errors.load(), 1);
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  EXPECT_EQ(delta("serve_requests_total"), 1);
+  EXPECT_EQ(delta("serve_errors_total"), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 }
 
 TEST(SynthServerTest, CachedResponseIsByteIdenticalAndSkipsTheDse) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   const std::string cold = server.handle(kRequestA);
   ASSERT_TRUE(starts_with(cold, "sasynth-response v1 ok")) << cold;
-  EXPECT_EQ(server.counters().dse_runs.load(), 1);
-  const std::int64_t cold_work = server.counters().dse_work_items.load();
+  EXPECT_EQ(delta("serve_dse_runs_total"), 1);
+  const std::int64_t cold_work = delta("serve_dse_work_items_total");
   EXPECT_GT(cold_work, 0);
 
   const std::string warm = server.handle(kRequestA);
   EXPECT_EQ(warm, cold);  // byte-identical, though it came from the cache
   // The warm request never re-entered the exploration.
-  EXPECT_EQ(server.counters().dse_runs.load(), 1);
-  EXPECT_EQ(server.counters().dse_work_items.load(), cold_work);
-  EXPECT_EQ(server.cache().stats().hits, 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 1);
+  EXPECT_EQ(delta("serve_dse_work_items_total"), cold_work);
+  EXPECT_EQ(delta("cache_hits_total"), 1);
 }
 
 TEST(SynthServerTest, DisabledCacheStillYieldsIdenticalResponses) {
+  const MetricDeltas delta;
   ServeOptions options = memory_options();
   options.cache_enabled = false;
   SynthServer server(options);
   const std::string first = server.handle(kRequestA);
   const std::string second = server.handle(kRequestA);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(server.counters().dse_runs.load(), 2);  // no memoization
+  EXPECT_EQ(delta("serve_dse_runs_total"), 2);  // no memoization
 }
 
 TEST(SynthServerTest, DiskCacheWarmsAcrossServerInstances) {
@@ -109,19 +113,22 @@ TEST(SynthServerTest, DiskCacheWarmsAcrossServerInstances) {
 
   std::string cold;
   {
+    const MetricDeltas delta;
     SynthServer server(options);
     cold = server.handle(kRequestA);
-    EXPECT_EQ(server.counters().dse_runs.load(), 1);
+    EXPECT_EQ(delta("serve_dse_runs_total"), 1);
   }
+  const MetricDeltas delta;
   SynthServer warm_server(options);
   const std::string warm = warm_server.handle(kRequestA);
   EXPECT_EQ(warm, cold);
-  EXPECT_EQ(warm_server.counters().dse_runs.load(), 0);
-  EXPECT_EQ(warm_server.counters().dse_work_items.load(), 0);
-  EXPECT_EQ(warm_server.cache().stats().disk_hits, 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
+  EXPECT_EQ(delta("serve_dse_work_items_total"), 0);
+  EXPECT_EQ(delta("cache_disk_hits_total"), 1);
 }
 
 TEST(SynthServerTest, SessionCommandsAndOrdering) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   const std::string transcript =
       run_session(server, std::string("ping\n") + kRequestA + "bogus\n");
@@ -134,7 +141,7 @@ TEST(SynthServerTest, SessionCommandsAndOrdering) {
   ASSERT_NE(error, std::string::npos) << transcript;
   EXPECT_LT(pong, ok);
   EXPECT_LT(ok, error);
-  EXPECT_EQ(server.counters().commands.load(), 1);
+  EXPECT_EQ(delta("serve_commands_total"), 1);
 }
 
 TEST(SynthServerTest, ShutdownStopsTheSessionAndDrains) {
@@ -149,6 +156,10 @@ TEST(SynthServerTest, ShutdownStopsTheSessionAndDrains) {
 }
 
 TEST(SynthServerTest, StatsCommandReportsCountersAndCache) {
+  // `stats` reports process-wide counts: start this process from zero so
+  // the transcript's absolute values are this session's.
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::global().reset_values();
   SynthServer server(memory_options());
   // `stats` drains in-flight work, so the stats between the two identical
   // requests pins their order: request execution is asynchronous at any
@@ -166,6 +177,7 @@ TEST(SynthServerTest, StatsCommandReportsCountersAndCache) {
 }
 
 TEST(SynthServerTest, BackpressureAnswersRetryDeterministically) {
+  const MetricDeltas delta;
   ServeOptions options = memory_options(/*jobs=*/2);
   options.queue_limit = 1;
   SynthServer server(options);
@@ -207,8 +219,8 @@ TEST(SynthServerTest, BackpressureAnswersRetryDeterministically) {
   EXPECT_NE(transcript.find("sasynth-response v1 retry"), std::string::npos)
       << transcript;
   EXPECT_NE(transcript.find("retry later"), std::string::npos);
-  EXPECT_EQ(server.counters().rejected.load(), 1);
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  EXPECT_EQ(delta("serve_rejected_total"), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 }
 
 /// `base` with `deadline_ms 0` spliced in before `end`: dead on arrival,
@@ -220,13 +232,7 @@ std::string expired_block(const char* base) {
 }
 
 TEST(SynthServerTest, CoalescedFollowerVerdictsUpdateTheGlobalRegistry) {
-  obs::set_metrics_enabled(true);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  const std::int64_t rejected_before =
-      reg.counter("serve_rejected_total").value();
-  const std::int64_t shed_before =
-      reg.counter("serve_shed_expired_total").value();
-
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   const ParsedRequest peek = parse_request_block(kRequestA);
   ASSERT_TRUE(peek.ok) << peek.error;
@@ -244,7 +250,7 @@ TEST(SynthServerTest, CoalescedFollowerVerdictsUpdateTheGlobalRegistry) {
   server.submit_session_block(kRequestA, BlockKind::kSynth, 0, post);
   server.submit_session_block(expired_block(kRequestA), BlockKind::kSynth, 1,
                               post);
-  EXPECT_EQ(server.counters().coalesced.load(), 2);
+  EXPECT_EQ(delta("serve_coalesced_total"), 2);
 
   // A shareable retry verdict: follower 0 receives it byte-for-byte;
   // follower 1's own already-fired deadline outranks it (shed).
@@ -255,16 +261,15 @@ TEST(SynthServerTest, CoalescedFollowerVerdictsUpdateTheGlobalRegistry) {
             std::string::npos)
       << responses[1];
 
-  // The legacy stats block and the registry (stats --format=prom|json) must
-  // agree: each follower verdict bumps both or neither.
-  EXPECT_EQ(server.counters().rejected.load(), 1);
-  EXPECT_EQ(server.counters().shed_expired.load(), 1);
-  EXPECT_EQ(reg.counter("serve_rejected_total").value() - rejected_before, 1);
-  EXPECT_EQ(reg.counter("serve_shed_expired_total").value() - shed_before, 1);
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  // Followers never enter the scheduler, so the server counts their retry
+  // and shed verdicts itself.
+  EXPECT_EQ(delta("serve_rejected_total"), 1);
+  EXPECT_EQ(delta("serve_shed_expired_total"), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 }
 
 TEST(SynthServerTest, ExpiredAtAdmissionLeaderStillClosesItsFlight) {
+  const MetricDeltas delta;
   SynthServer server(memory_options());
   std::mutex mutex;
   std::map<std::uint64_t, std::string> responses;
@@ -294,7 +299,7 @@ TEST(SynthServerTest, ExpiredAtAdmissionLeaderStillClosesItsFlight) {
   std::lock_guard<std::mutex> lock(mutex);
   EXPECT_NE(responses[1].find("sasynth-response v1 ok"), std::string::npos)
       << responses[1];
-  EXPECT_EQ(server.counters().coalesced.load(), 0);
+  EXPECT_EQ(delta("serve_coalesced_total"), 0);
 }
 
 // Satellite (d): the same request stream yields a byte-identical transcript
@@ -321,10 +326,55 @@ TEST(SynthServerTest, TranscriptIsInvariantAcrossJobsAndCacheState) {
   {  // warm replay on one server: second pass is all cache hits
     SynthServer server(memory_options(/*jobs=*/2));
     EXPECT_EQ(run_session(server, stream), reference);
-    const std::int64_t work = server.counters().dse_work_items.load();
+    const MetricDeltas delta;
     EXPECT_EQ(run_session(server, stream), reference);
-    EXPECT_EQ(server.counters().dse_work_items.load(), work);
+    EXPECT_EQ(delta("serve_dse_work_items_total"), 0);
   }
+}
+
+/// The key (first token) of every line between a block's magic line and its
+/// `end`; an empty entry marks a line with no value after its key.
+std::vector<std::string> block_keys(const std::string& block) {
+  std::vector<std::string> keys;
+  const std::vector<std::string> lines = split(block, '\n');
+  for (std::size_t i = 1; i < lines.size() && lines[i] != kBlockEnd; ++i) {
+    const std::size_t space = lines[i].find(' ');
+    const bool has_value =
+        space != std::string::npos && space + 1 < lines[i].size();
+    keys.push_back(has_value ? lines[i].substr(0, space) : "");
+  }
+  return keys;
+}
+
+// Scrapers read `stats` and `health` by key, so the key sequence of both
+// blocks is a wire contract; the values are covered by the tests above.
+TEST(SynthServerTest, StatsAndHealthKeySequencesArePinned) {
+  SynthServer server(memory_options());
+  ASSERT_TRUE(starts_with(server.handle(kRequestA), "sasynth-response v1 ok"));
+
+  const std::string stats = server.handle_command("stats");
+  ASSERT_TRUE(starts_with(stats, std::string(kStatsMagic) + "\n")) << stats;
+  const std::vector<std::string> stats_keys = {
+      "requests", "ok", "errors", "rejected", "timeouts", "rejected_expired",
+      "shed_expired", "coalesced", "commands", "cache_hits", "cache_misses",
+      "cache_disk_hits", "cache_load_failures", "cache_insertions",
+      "cache_evictions", "cache_disk_store_failures", "cache_entries",
+      "sweep_cache_exact_hits", "sweep_cache_exact_misses",
+      "sweep_cache_hint_hits", "sweep_cache_hint_misses",
+      "sweep_cache_insertions", "sweep_cache_evictions",
+      "sweep_cache_entries", "dse_runs", "dse_work_items",
+      "queue_depth_high_water", "queue_limit", "jobs", "wall_ms_total",
+      "wall_ms_max"};
+  EXPECT_EQ(block_keys(stats), stats_keys) << stats;
+
+  const std::string health = server.handle_command("health");
+  ASSERT_TRUE(starts_with(health, std::string(kHealthMagic) + "\n"))
+      << health;
+  const std::vector<std::string> health_keys = {
+      "status", "uptime_s", "queue_depth", "queue_limit", "jobs",
+      "requests", "timeouts", "rejected", "rejected_expired", "shed_expired",
+      "shedding"};
+  EXPECT_EQ(block_keys(health), health_keys) << health;
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "serve/server.h"
 #include "serve/tcp.h"
 #include "support/loop_harness.h"
+#include "support/metric_deltas.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -289,6 +290,29 @@ TEST_F(ShardTest, CoordinatorIsByteIdenticalToSingleNode) {
         EXPECT_EQ(shard_requests().value() - requests_before, shards);
       }
     }
+  }
+}
+
+// A sharded exploration is an exploration: it publishes the `dse_*` metrics
+// exactly like single-node execution does.
+TEST_F(ShardTest, ShardedExplorationPublishesTheDseMetrics) {
+  std::vector<std::unique_ptr<WorkerDaemon>> workers;
+  for (int i = 0; i < 2; ++i) {
+    workers.push_back(std::make_unique<WorkerDaemon>());
+  }
+  ServeOptions options;
+  for (const auto& w : workers) options.shard_peers.push_back(w->peer());
+  SynthServer coordinator(options);
+
+  // The in-process workers run phase 1 only, never an exploration, so every
+  // count below is the coordinator's.
+  for (const char* layer : {kAlexNetConv2, kGoogLeNetReduce}) {
+    const MetricDeltas delta;
+    const std::string response = coordinator.handle(request_block(layer, 4));
+    ASSERT_NE(response.find("sasynth-response v1 ok"), std::string::npos)
+        << response;
+    EXPECT_EQ(delta("dse_explorations_total"), 1) << layer;
+    EXPECT_EQ(delta("dse_phase2_ms_count"), 1) << layer;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "support/metric_deltas.h"
 
 namespace sasynth {
 namespace {
@@ -100,6 +101,7 @@ std::string canonical_of(const std::string& block) {
 }
 
 TEST(CoalescingTest, FollowerReceivesTheLeadersShareableResponse) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -115,19 +117,20 @@ TEST(CoalescingTest, FollowerReceivesTheLeadersShareableResponse) {
                                 ++posts;
                               });
   EXPECT_EQ(posts, 0);  // parked: no scheduler slot, no DSE, no answer yet
-  EXPECT_EQ(server.counters().coalesced.load(), 1);
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);
+  EXPECT_EQ(delta("serve_coalesced_total"), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);
 
   const std::string shared = "sasynth-response v1 ok\nfake\nend\n";
   EXPECT_EQ(server.singleflight().complete(key, shared, true), 1);
   EXPECT_EQ(posts, 1);
   EXPECT_EQ(got, shared);  // byte-identical to the leader's bytes
-  EXPECT_EQ(server.counters().dse_runs.load(), 0);  // follower never ran DSE
-  EXPECT_EQ(server.counters().requests.load(), 1);
-  EXPECT_EQ(server.counters().ok.load(), 1);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 0);  // follower never ran DSE
+  EXPECT_EQ(delta("serve_requests_total"), 1);
+  EXPECT_EQ(delta("serve_ok_total"), 1);
 }
 
 TEST(CoalescingTest, UnsharedCompletionMakesTheFollowerRunItself) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -141,7 +144,7 @@ TEST(CoalescingTest, UnsharedCompletionMakesTheFollowerRunItself) {
                               [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                               });
-  ASSERT_EQ(server.counters().coalesced.load(), 1);
+  ASSERT_EQ(delta("serve_coalesced_total"), 1);
 
   // The leader "timed out": its verdict reflects the leader's budget and is
   // never handed over. The follower re-executes under its own (unbounded)
@@ -152,6 +155,7 @@ TEST(CoalescingTest, UnsharedCompletionMakesTheFollowerRunItself) {
 }
 
 TEST(CoalescingTest, ExpiredFollowerGetsItsOwnTimeoutNotTheSharedResult) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -169,18 +173,19 @@ TEST(CoalescingTest, ExpiredFollowerGetsItsOwnTimeoutNotTheSharedResult) {
                               [&](std::uint64_t, std::string response) {
                                 got = std::move(response);
                               });
-  ASSERT_EQ(server.counters().coalesced.load(), 1);
+  ASSERT_EQ(delta("serve_coalesced_total"), 1);
 
   server.singleflight().complete(key, "sasynth-response v1 ok\nfake\nend\n",
                                  true);
   EXPECT_NE(got.find("sasynth-response v1 timeout"), std::string::npos) << got;
   EXPECT_NE(got.find("deadline expired waiting in queue"), std::string::npos)
       << got;
-  EXPECT_EQ(server.counters().timeouts.load(), 1);
-  EXPECT_EQ(server.counters().shed_expired.load(), 1);
+  EXPECT_EQ(delta("serve_timeouts_total"), 1);
+  EXPECT_EQ(delta("serve_shed_expired_total"), 1);
 }
 
 TEST(CoalescingTest, MalformedBlocksAreNotCoalesced) {
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -192,7 +197,7 @@ TEST(CoalescingTest, MalformedBlocksAreNotCoalesced) {
                               });
   server.scheduler().drain();  // execution is asynchronous at any jobs count
   EXPECT_NE(got.find("sasynth-response v1 error"), std::string::npos) << got;
-  EXPECT_EQ(server.counters().coalesced.load(), 0);
+  EXPECT_EQ(delta("serve_coalesced_total"), 0);
   EXPECT_EQ(server.singleflight().inflight(), 0);
 }
 
@@ -203,6 +208,7 @@ TEST(CoalescingTest, LeaderCompletionClosesTheFlight) {
   // inspected: once the leader's response lands the flight must be closed,
   // and the next identical submission must lead again (and hit the
   // DesignCache instead of coalescing).
+  const MetricDeltas delta;
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
@@ -217,8 +223,8 @@ TEST(CoalescingTest, LeaderCompletionClosesTheFlight) {
   server.scheduler().drain();
   EXPECT_EQ(server.singleflight().inflight(), 0);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(server.counters().coalesced.load(), 0);
-  EXPECT_EQ(server.counters().dse_runs.load(), 1);  // second was a cache hit
+  EXPECT_EQ(delta("serve_coalesced_total"), 0);
+  EXPECT_EQ(delta("serve_dse_runs_total"), 1);  // second was a cache hit
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "serve/server.h"
+#include "support/metric_deltas.h"
 #include "util/strings.h"
 
 namespace sasynth {
@@ -54,19 +55,18 @@ ServeOptions sweep_options(std::size_t sweep_capacity) {
 }
 
 TEST(SweepCacheTest, HintTierCarriesAcrossHwOnlyDifferingLayers) {
+  const MetricDeltas delta;
   SynthServer server(sweep_options(4096));
   ASSERT_TRUE(starts_with(server.handle(kLayerBase), "sasynth-response v1 ok"));
-  const SweepCacheStats after_first = server.sweep_cache().stats();
-  EXPECT_GT(after_first.insertions, 0);
-  EXPECT_EQ(after_first.hint_hits, 0);
+  EXPECT_GT(delta("sweep_cache_insertions_total"), 0);
+  EXPECT_EQ(delta("sweep_cache_hint_hits_total"), 0);
 
   ASSERT_TRUE(starts_with(server.handle(kLayerTall), "sasynth-response v1 ok"));
-  const SweepCacheStats after_second = server.sweep_cache().stats();
   // The second sweep's floor seeding found middle bounds remembered from
   // the first layer's structurally identical items.
-  EXPECT_GT(after_second.hint_hits, 0);
+  EXPECT_GT(delta("sweep_cache_hint_hits_total"), 0);
   // Different trips: the exact tier cannot hit across these two layers.
-  EXPECT_EQ(after_second.exact_hits, 0);
+  EXPECT_EQ(delta("sweep_cache_exact_hits_total"), 0);
 }
 
 TEST(SweepCacheTest, ExactTierReplaysAcrossUtilSettings) {
@@ -74,23 +74,24 @@ TEST(SweepCacheTest, ExactTierReplaysAcrossUtilSettings) {
   // DFS never reads it), so re-exploring a layer under a relaxed floor
   // replays the per-item DFS results verbatim even though the request texts
   // — and so the DesignCache keys — differ.
+  const MetricDeltas delta;
   SynthServer server(sweep_options(4096));
   const std::string cold = server.handle(kLayerBase);
   ASSERT_TRUE(starts_with(cold, "sasynth-response v1 ok"));
   const std::string relaxed = server.handle(kLayerBaseRelaxed);
   ASSERT_TRUE(starts_with(relaxed, "sasynth-response v1 ok"));
-  EXPECT_GT(server.sweep_cache().stats().exact_hits, 0);
+  EXPECT_GT(delta("sweep_cache_exact_hits_total"), 0);
 }
 
 TEST(SweepCacheTest, DeviceChangeSharesNothing) {
+  const MetricDeltas delta;
   SynthServer server(sweep_options(4096));
   ASSERT_TRUE(starts_with(server.handle(kLayerBase), "sasynth-response v1 ok"));
   ASSERT_TRUE(starts_with(server.handle(kLayerBaseKu), "sasynth-response v1 ok"));
-  const SweepCacheStats stats = server.sweep_cache().stats();
   // Same layer, different device: every BRAM/bandwidth parameter in the
   // context changed, so neither tier may answer.
-  EXPECT_EQ(stats.exact_hits, 0);
-  EXPECT_EQ(stats.hint_hits, 0);
+  EXPECT_EQ(delta("sweep_cache_exact_hits_total"), 0);
+  EXPECT_EQ(delta("sweep_cache_hint_hits_total"), 0);
 }
 
 TEST(SweepCacheTest, WarmResponsesAreByteIdenticalToCold) {
@@ -109,13 +110,13 @@ TEST(SweepCacheTest, WarmResponsesAreByteIdenticalToCold) {
 }
 
 TEST(SweepCacheTest, LruEvictionKeepsTheCacheBounded) {
+  const MetricDeltas delta;
   SynthServer server(sweep_options(8));
   ASSERT_TRUE(starts_with(server.handle(kLayerBase), "sasynth-response v1 ok"));
   ASSERT_TRUE(starts_with(server.handle(kLayerTall), "sasynth-response v1 ok"));
-  const SweepCacheStats stats = server.sweep_cache().stats();
   EXPECT_LE(server.sweep_cache().size(), 8u);
-  EXPECT_GT(stats.insertions, 8);
-  EXPECT_GT(stats.evictions, 0);
+  EXPECT_GT(delta("sweep_cache_insertions_total"), 8);
+  EXPECT_GT(delta("sweep_cache_evictions_total"), 0);
   // The eviction counters are part of the stats surface.
   const std::string text = server.stats_text();
   EXPECT_NE(text.find("sweep_cache_evictions"), std::string::npos) << text;
@@ -123,14 +124,18 @@ TEST(SweepCacheTest, LruEvictionKeepsTheCacheBounded) {
 }
 
 TEST(SweepCacheTest, CapacityZeroDisablesTheTier) {
+  const MetricDeltas delta;
   SynthServer server(sweep_options(0));
   ASSERT_TRUE(starts_with(server.handle(kLayerBase), "sasynth-response v1 ok"));
   ASSERT_TRUE(starts_with(server.handle(kLayerTall), "sasynth-response v1 ok"));
-  const SweepCacheStats stats = server.sweep_cache().stats();
   EXPECT_EQ(server.sweep_cache().size(), 0u);
-  EXPECT_EQ(stats.insertions, 0);
-  EXPECT_EQ(stats.exact_hits + stats.hint_hits, 0);
-  EXPECT_EQ(stats.exact_misses + stats.hint_misses, 0);
+  EXPECT_EQ(delta("sweep_cache_insertions_total"), 0);
+  EXPECT_EQ(delta("sweep_cache_exact_hits_total") +
+                delta("sweep_cache_hint_hits_total"),
+            0);
+  EXPECT_EQ(delta("sweep_cache_exact_misses_total") +
+                delta("sweep_cache_hint_misses_total"),
+            0);
 }
 
 }  // namespace

@@ -388,8 +388,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
-  // The registry is the data source of `stats --format=prom|json`, so the
-  // daemon always collects; span recording stays opt-in (--trace-out).
+  // The registry is the data source of `stats` and `health` (every count)
+  // and of `stats --format=prom|json`, so the daemon always collects; span
+  // recording stays opt-in (--trace-out).
   obs::set_metrics_enabled(true);
   if (!trace_out_path.empty()) obs::set_trace_enabled(true);
 
