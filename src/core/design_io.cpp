@@ -69,10 +69,11 @@ DesignLoadResult load_design_text(const std::string& text, const LoopNest& nest,
   auto parse_role = [&](const std::string& part, const char* key,
                         std::size_t* out) {
     const std::string prefix = std::string(key) + "=";
-    if (!starts_with(part, prefix)) return false;
-    char* end = nullptr;
-    const long v = std::strtol(part.c_str() + prefix.size(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0) return false;
+    std::int64_t v = 0;
+    if (!starts_with(part, prefix) ||
+        !parse_int64_strict(part.substr(prefix.size()), &v) || v < 0) {
+      return false;
+    }
     *out = static_cast<std::size_t>(v);
     return true;
   };

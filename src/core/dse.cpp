@@ -695,9 +695,6 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       inner[item.mapping->row_loop] = item.shape.rows;
       inner[item.mapping->col_loop] = item.shape.cols;
       inner[item.mapping->vec_loop] = item.shape.vec;
-      batch.rows[i] = item.shape.rows;
-      batch.cols[i] = item.shape.cols;
-      batch.vec[i] = item.shape.vec;
       batch.lanes[i] = static_cast<double>(item.shape.num_lanes());
       batch.executed[i] =
           static_cast<double>(executed_iterations_for_inner(nest, inner));

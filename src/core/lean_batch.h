@@ -3,8 +3,8 @@
 // The exhaustive sweep evaluated Eq. 1/8 one (mapping, shape) item at a
 // time through pointer-chasing scalar code. The branch-and-bound pass needs
 // the compute-bound PT of *every* item up front, so the items are laid out
-// as contiguous arrays (rows/cols/vec/lanes, plus the Eq. 1 executed-
-// iteration denominator precomputed in exact int64 arithmetic) and the
+// as contiguous arrays (lanes, plus the Eq. 1 executed-iteration
+// denominator precomputed in exact int64 arithmetic) and the
 // remaining double arithmetic runs as one flat loop the compiler can
 // auto-vectorize. The kernel lives in its own translation unit
 // (lean_batch.cpp) so scripts/check_vectorization.sh can assert the loop
@@ -19,19 +19,14 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace sasynth {
 
-/// One phase-1 work item per index. rows/cols/vec are kept for callers
-/// that build shapes back out of a scored batch (unified.cpp's shortlist);
-/// lanes and executed feed the kernel as doubles so the hot loop needs no
-/// int64->double conversion (SSE2 has no packed conversion for that).
+/// One phase-1 work item per index. lanes and executed feed the kernel as
+/// doubles so the hot loop needs no int64->double conversion (SSE2 has no
+/// packed conversion for that).
 struct ShapeBatch {
-  std::vector<std::int64_t> rows;
-  std::vector<std::int64_t> cols;
-  std::vector<std::int64_t> vec;
   std::vector<double> lanes;     ///< rows * cols * vec
   std::vector<double> executed;  ///< Eq. 1 denominator (exact int64 -> double)
   std::vector<double> pt_gops;   ///< output: Eq. 8 compute-bound rate
@@ -39,9 +34,6 @@ struct ShapeBatch {
   std::size_t size() const { return executed.size(); }
 
   void resize(std::size_t n) {
-    rows.resize(n);
-    cols.resize(n);
-    vec.resize(n);
     lanes.resize(n);
     executed.resize(n);
     pt_gops.resize(n);

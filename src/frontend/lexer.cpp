@@ -77,7 +77,9 @@ bool lex(const std::string& source, std::vector<Token>* tokens,
       Token t;
       t.kind = TokenKind::kNumber;
       t.text = source.substr(start, i - start);
-      t.value = std::stoll(t.text);
+      if (!parse_int64_strict(t.text, &t.value)) {
+        return fail("number out of range");  // all digits: only overflow
+      }
       t.line = line;
       tokens->push_back(std::move(t));
       continue;

@@ -118,9 +118,9 @@ struct Waker {
 };
 
 /// Per-connection state machine, loop-thread-only. The read side frames
-/// with the shared session framers (serve/framing.h); the write side mirrors
-/// serve()'s ordered writer (seq -> ready map, strict in-order emission)
-/// plus write_all_fd's partial-write and fault-site semantics.
+/// with the shared session framers (serve/framing.h); the write side emits
+/// responses strictly in request order (seq -> ready map) with
+/// write_all_fd's partial-write and fault-site semantics.
 struct Connection {
   std::uint64_t id = 0;
   int fd = -1;
@@ -188,8 +188,31 @@ struct EventLoopServer::Impl {
   // --- poller -----------------------------------------------------------
 
   bool start(std::string* error) {
-    if (!listener.listen_on(options.port, error)) return false;
+    if (!listener.listen_on(options.port, error) || !open_poller(error)) {
+      return false;
+    }
     set_nonblocking(listener.fd());
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenerId;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listener.fd(), &ev) < 0) {
+      *error = std::string("epoll_ctl(listener): ") + std::strerror(errno);
+      return false;
+    }
+    return true;
+  }
+
+  bool start_on(int fd, std::string* error) {
+    if (!open_poller(error)) return false;
+    if (add_connection(fd) == nullptr) {
+      *error = std::string("epoll_ctl(session): ") + std::strerror(errno);
+      return false;
+    }
+    return true;
+  }
+
+  /// The poller and the waker's eventfd, registered with each other.
+  bool open_poller(std::string* error) {
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd < 0) {
       *error = std::string("epoll_create1: ") + std::strerror(errno);
@@ -205,11 +228,6 @@ struct EventLoopServer::Impl {
     waker->wake_fd = efd;
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.u64 = kListenerId;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listener.fd(), &ev) < 0) {
-      *error = std::string("epoll_ctl(listener): ") + std::strerror(errno);
-      return false;
-    }
     ev.data.u64 = kWakeId;
     if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_read_fd, &ev) < 0) {
       *error = std::string("epoll_ctl(eventfd): ") + std::strerror(errno);
@@ -284,7 +302,9 @@ struct EventLoopServer::Impl {
 
   // --- connection lifecycle --------------------------------------------
 
-  Connection& add_connection(int fd) {
+  /// Registers `fd` as a new session; the loop owns it from here on. When
+  /// the poller refuses it, closes it and returns nullptr (errno kept).
+  Connection* add_connection(int fd) {
     auto conn = std::make_unique<Connection>();
     conn->id = next_conn_id++;
     conn->fd = fd;
@@ -295,14 +315,19 @@ struct EventLoopServer::Impl {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      return nullptr;
+    }
     conn->registered_events = EPOLLIN;
     Connection& ref = *conn;
     conns.emplace(ref.id, std::move(conn));
     open_count.store(static_cast<std::int64_t>(conns.size()));
     LoopMetrics::get().connections.set(static_cast<std::int64_t>(conns.size()));
     LoopMetrics::get().connections_total.add(1);
-    return ref;
+    return &ref;
   }
 
   void close_conn(Connection& c) {
@@ -357,15 +382,16 @@ struct EventLoopServer::Impl {
           // client's backoff logic is the same one queue-full exercises.
           LoopMetrics::get().connections_rejected.add(1);
           fault::note_degraded();
-          Connection& c = add_connection(client);
-          c.read_closed = true;
-          c.outbuf = format_retry_response(
+          Connection* c = add_connection(client);
+          if (c == nullptr) continue;
+          c->read_closed = true;
+          c->outbuf = format_retry_response(
               strformat("connection limit reached (%lld open), retry later",
                         static_cast<long long>(options.max_connections)));
           if (io_timeout_ms > 0) {
-            c.write_deadline = Deadline::after_ms(io_timeout_ms);
+            c->write_deadline = Deadline::after_ms(io_timeout_ms);
           }
-          try_write(c);
+          try_write(*c);
           continue;
         }
         add_connection(client);
@@ -508,8 +534,7 @@ struct EventLoopServer::Impl {
       if (!c.lines.next_line(&line)) return;
       dispatch_line(c, line);
       // A `shutdown` command (from any connection) or a concurrent drain
-      // stops further dispatch; leftover input is never read, exactly like
-      // serve()'s !stop && !draining guard.
+      // stops further dispatch; leftover input is never read.
       if (server.stop_requested() || server.draining()) {
         auto again = conns.find(id);
         if (again != conns.end()) end_input(*again->second);
@@ -675,9 +700,11 @@ struct EventLoopServer::Impl {
 
   int run() {
     for (;;) {
-      if ((stop_requested.load() || server.stop_requested() ||
-           server.draining()) &&
-          !draining) {
+      // With neither a listener nor a session left (stdio EOF, or a fatal
+      // accept error once the last client leaves) nothing can arrive: drain.
+      if (!draining &&
+          (stop_requested.load() || server.stop_requested() ||
+           server.draining() || (listener.fd() < 0 && conns.empty()))) {
         enter_drain();
       }
       if (draining) {
@@ -753,6 +780,10 @@ EventLoopServer::EventLoopServer(SynthServer& server, EventLoopOptions options)
 EventLoopServer::~EventLoopServer() = default;
 
 bool EventLoopServer::start(std::string* error) { return impl_->start(error); }
+
+bool EventLoopServer::start_on(int fd, std::string* error) {
+  return impl_->start_on(fd, error);
+}
 
 int EventLoopServer::port() const { return impl_->listener.port(); }
 

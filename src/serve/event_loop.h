@@ -1,10 +1,10 @@
-// Single-threaded event-loop TCP transport for the synthesis service: the
-// one TCP transport `sasynthd --port` serves on.
+// Single-threaded event-loop transport for the synthesis service: the one
+// session engine `sasynthd` serves on, for TCP clients and (through a
+// socketpair bridge, see start_on) for stdio.
 //
 // One loop thread owns every connection: non-blocking accept, per-connection
-// read/write state machines (session framing from serve/framing.h, the same
-// framers FdLineReader and serve() use; ordered per-session responses like
-// serve()'s writer thread), with request execution dispatched through the
+// read/write state machines (session framing from serve/framing.h; ordered
+// per-session responses), with request execution dispatched through the
 // SynthServer's scheduler/ThreadPool.
 // Completed responses are handed back to the loop over a mutex-guarded
 // completion queue plus an eventfd wakeup, so pool workers never touch
@@ -21,8 +21,8 @@
 // Determinism invariant (docs/ARCHITECTURE.md): the transport orders bytes,
 // it never computes. Every response byte comes from SynthServer::handle /
 // handle_deploy / handle_shard / handle_command, so responses are
-// byte-identical to a direct handle() call (and to stdio serving) at any
-// connection count, interleaving, or cache state.
+// byte-identical to a direct handle() call at any connection count,
+// interleaving, or cache state.
 #pragma once
 
 #include <atomic>
@@ -60,14 +60,20 @@ class EventLoopServer {
   /// returns false with a message in `error`; run() must not be called.
   bool start(std::string* error);
 
+  /// Like start(), but with no listener: `fd` (a connected socket, which the
+  /// loop owns and closes when its session ends) is the one session. The
+  /// stdio transport passes one end of a socketpair here.
+  bool start_on(int fd, std::string* error);
+
   /// The bound port (valid after start()).
   int port() const;
 
   /// Runs the loop until a graceful stop completes: request_stop() from
-  /// another thread, or a session's `shutdown` command. Returns 0 when every
-  /// in-flight request finished and every response flushed inside
-  /// drain_timeout_ms, 1 when the bound expired with work or bytes still
-  /// outstanding (remaining connections are force-closed either way).
+  /// another thread, a session's `shutdown` command, or the loop left with
+  /// neither a listener nor a session. Returns 0 when every in-flight
+  /// request finished and every response flushed inside drain_timeout_ms, 1
+  /// when the bound expired with work or bytes still outstanding (remaining
+  /// connections are force-closed either way).
   int run();
 
   /// Begins the graceful drain from any thread (the SIGTERM path): the loop

@@ -6,10 +6,10 @@
 // opens a block that collects every following line up to and including
 // `end`; any other non-blank line is a bare command, trimmed.
 //
-// FdLineReader (stdio, shard and peer-probe clients) and the event loop's
-// connections split lines with LineFramer; SynthServer::serve() and the
-// event loop group them with FrameAssembler — so no transport can frame a
-// session differently from another.
+// FdLineReader (shard and peer-probe clients) and the event loop's
+// connections (TCP and stdio) split lines with LineFramer; the event loop
+// groups them with FrameAssembler — so no transport can frame a session
+// differently from another.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "faultinject/faultinject.h"
@@ -141,14 +140,6 @@ void RequestScheduler::submit_followup(std::function<void()> fn) {
 void RequestScheduler::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return pending_ == 0; });
-}
-
-bool RequestScheduler::drain_for(std::int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return idle_.wait_for(lock,
-                        std::chrono::milliseconds(
-                            std::max<std::int64_t>(0, timeout_ms)),
-                        [this] { return pending_ == 0; });
 }
 
 std::int64_t RequestScheduler::pending() const {

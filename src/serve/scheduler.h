@@ -6,8 +6,9 @@
 // (queued or executing), try_submit refuses and the session answers with a
 // retry-hint response instead of buffering unboundedly — explicit
 // backpressure, the client decides when to come back. drain() blocks until
-// every accepted request has finished; sessions call it before `stats`,
-// `shutdown` and at EOF so counters are settled and shutdown is graceful.
+// every accepted request has finished; `stats` and `shutdown` call it so
+// counters are settled and shutdown is graceful, and the event loop's
+// bounded drain polls pending() instead.
 //
 // Deadlines make the scheduler shed dead work at both ends of the queue:
 // admission refuses a request whose deadline already expired (kExpired,
@@ -62,11 +63,6 @@ class RequestScheduler {
 
   /// Blocks until every accepted work item has completed.
   void drain();
-
-  /// drain() bounded by `timeout_ms` (<= 0 returns immediately). True when
-  /// the queue drained; false when work was still in flight at the timeout —
-  /// the caller decides whether to wait harder or abandon ship.
-  bool drain_for(std::int64_t timeout_ms);
 
   int jobs() const { return pool_.jobs(); }
   std::int64_t queue_limit() const { return queue_limit_; }

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <map>
-#include <mutex>
-#include <thread>
 
 #include "core/perf_model.h"
 #include "core/resource_model.h"
@@ -153,10 +149,6 @@ SynthServer::SynthServer(ServeOptions options)
       sweep_cache_(options_.sweep_cache_capacity),
       scheduler_(options_.jobs, options_.queue_limit) {}
 
-std::string SynthServer::handle(const std::string& request_block) {
-  return handle(request_block, CancelToken());
-}
-
 std::string SynthServer::handle(const std::string& request_block,
                                 CancelToken cancel) {
   obs::ScopedSpan span("serve.handle", "serve");
@@ -239,10 +231,6 @@ std::string SynthServer::handle(const std::string& request_block,
   }
   return record.ok(
       format_ok_response(design, realized, resources.report, latency_ms));
-}
-
-std::string SynthServer::handle_deploy(const std::string& request_block) {
-  return handle_deploy(request_block, CancelToken());
 }
 
 std::string SynthServer::handle_deploy(const std::string& request_block,
@@ -333,10 +321,6 @@ std::string SynthServer::handle_deploy(const std::string& request_block,
     return record.error(format_error_response(evaluated.error));
   }
   return record.ok(format_deploy_ok_response(evaluated));
-}
-
-std::string SynthServer::handle_shard(const std::string& request_block) {
-  return handle_shard(request_block, CancelToken());
 }
 
 std::string SynthServer::handle_shard(const std::string& request_block,
@@ -564,9 +548,9 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
   const Admission admission = scheduler_.try_submit(
       [this, post, seq, token, kind, coalescible, canonical,
        block = std::move(block)](bool shed) {
-        // Always post *something* for this seq: the ordered writer stalls
-        // the whole session on a missing sequence number, so a throwing
-        // handler degrades to an error response, not a hole.
+        // Always post *something* for this seq: the loop's in-order emission
+        // stalls the whole session on a missing sequence number, so a
+        // throwing handler degrades to an error response, not a hole.
         std::string response;
         if (shed) {
           // Expired while queued: answer without paying for the work. The
@@ -607,7 +591,7 @@ void SynthServer::submit_session_block(std::string block, BlockKind kind,
     // A timeout is the leader's verdict only — followers re-execute. That
     // re-execution is a full handle() per unshared follower, so the
     // completion must leave this thread: submit_session_block runs on the
-    // event-loop thread (or a session reader), and completing inline here
+    // event-loop thread, and completing inline here
     // would run every follower's DSE on it — stalling all sessions behind
     // one dead-on-arrival request. The follow-up is counted in pending(),
     // so drain() still covers the re-executions.
@@ -713,97 +697,6 @@ std::string SynthServer::handle_command(const std::string& command) {
   }
   sm.errors.add(1);
   return format_error_response("unknown command '" + command + "'");
-}
-
-void SynthServer::serve(const LineSource& read_line,
-                        const ResponseSink& write_response) {
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::map<std::uint64_t, std::string> ready;  ///< seq -> finished response
-  std::uint64_t next_seq = 0;                  ///< session thread only
-  std::uint64_t next_emit = 0;
-  std::uint64_t posted = 0;  ///< responses received for this session's seqs
-  bool done = false;
-
-  // Every submitted seq posts exactly once (submit_session_block's
-  // contract), and a coalesced follower may be posted from another session's
-  // thread — so the session must not tear this frame down until the post
-  // count catches up with next_seq (see the wait below scheduler_.drain()).
-  auto post = [&](std::uint64_t seq, std::string response) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ready.emplace(seq, std::move(response));
-      ++posted;
-    }
-    ready_cv.notify_all();
-  };
-
-  // Sole writer: emits responses strictly in request order, as soon as each
-  // one is ready (a session must not sit on a finished response while the
-  // reader blocks on the next line).
-  std::thread writer([&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      ready_cv.wait(lock, [&] {
-        return done ||
-               (!ready.empty() && ready.begin()->first == next_emit);
-      });
-      while (!ready.empty()) {
-        const auto it = ready.begin();  // smallest outstanding seq
-        // Before `done`, wait for the exact next sequence number. After
-        // `done` no response can still arrive, so flush whatever exists in
-        // order even across a hole — every request task is expected to
-        // post something, but a missing seq must degrade to a skipped
-        // response, never to this loop spinning forever.
-        if (it->first != next_emit && !done) break;
-        next_emit = it->first + 1;
-        std::string text = std::move(it->second);
-        ready.erase(it);
-        lock.unlock();
-        {
-          obs::ScopedSpan write_span("serve.session_write", "serve");
-          write_span.arg("bytes", static_cast<std::int64_t>(text.size()));
-          write_response(text);
-        }
-        lock.lock();
-      }
-      if (done && ready.empty()) return;
-    }
-  });
-
-  // Stop and drain are checked between frames only: a block already begun
-  // is read to its `end` (or EOF, whose partial block finish() submits).
-  FrameAssembler frames;
-  SessionFrame frame;
-  std::string line;
-  while ((frames.in_block() || (!stop_.load() && !draining_.load())) &&
-         read_line(&line)) {
-    if (!frames.push(line, &frame)) continue;
-    if (frame.is_block) {
-      submit_session_block(std::move(frame.text), frame.kind, next_seq++,
-                           post);
-    } else {
-      post(next_seq++, handle_command(frame.text));
-      if (frame.text == "shutdown") break;
-    }
-  }
-  if (frames.finish(&frame)) {
-    submit_session_block(std::move(frame.text), frame.kind, next_seq++, post);
-  }
-
-  scheduler_.drain();
-  {
-    // A coalesced follower's response arrives from its *leader's* thread,
-    // which drain() does not always cover (the queue-full completion runs on
-    // the leader's session thread; the expired-at-admission completion runs
-    // as a pool follow-up). Wait for every submitted seq to have posted
-    // before tearing down the frame `post` points into.
-    std::unique_lock<std::mutex> lock(mutex);
-    ready_cv.wait(lock, [&] { return posted == next_seq; });
-    done = true;
-  }
-  ready_cv.notify_all();
-  writer.join();
 }
 
 }  // namespace sasynth

@@ -1,12 +1,12 @@
-// The synthesis server: protocol sessions + DesignCache + scheduler, behind
-// any line-based transport (stdio, TCP, tests).
+// The synthesis server: protocol handlers + DesignCache + scheduler, behind
+// the event-loop session engine (serve/event_loop.h), which serves TCP
+// clients and stdio alike.
 //
 // One SynthServer is shared by every session of a deployment: the cache and
-// the admission queue are global, while each serve() call runs
-// its own session (request framing, ordered responses, its own writer
-// thread). handle() — the per-request unit — is thread-safe and a pure
-// function of the request text, so responses are byte-identical regardless
-// of worker count, interleaving, or cache state.
+// the admission queue are global, while the transport owns each session's
+// framing and response order. handle() — the per-request unit — is
+// thread-safe and a pure function of the request text, so responses are
+// byte-identical regardless of worker count, interleaving, or cache state.
 #pragma once
 
 #include <atomic>
@@ -74,31 +74,27 @@ struct ServeOptions {
 
 class SynthServer {
  public:
-  using LineSource = std::function<bool(std::string*)>;
-  using ResponseSink = std::function<void(const std::string&)>;
-
   explicit SynthServer(ServeOptions options);
 
   /// Handles one request block synchronously: parse -> cache lookup ->
   /// (on miss) two-phase DSE + cache insert -> evaluate models -> format.
   /// Returns the full response text. Thread-safe.
-  std::string handle(const std::string& request_block);
-
-  /// Same, under a cancel token: the DSE polls `cancel` and a fired token
-  /// yields a `timeout` verdict (with the best-so-far design when one
-  /// exists) that is never stored into the DesignCache. Cache hits answer
-  /// `ok` even if the token already fired — the lookup precedes any DSE
-  /// work, so it beats every realistic budget.
-  std::string handle(const std::string& request_block, CancelToken cancel);
+  ///
+  /// The DSE polls `cancel` and a fired token yields a `timeout` verdict
+  /// (with the best-so-far design when one exists) that is never stored
+  /// into the DesignCache. Cache hits answer `ok` even if the token already
+  /// fired — the lookup precedes any DSE work, so it beats every realistic
+  /// budget.
+  std::string handle(const std::string& request_block,
+                     CancelToken cancel = CancelToken());
 
   /// Handles one `sasynth-deploy v1` block (deploy_protocol.h): parse ->
   /// per-design cache lookups (all K must hit) -> (on miss) fleet selection
   /// + cache insert -> deploy::evaluate_fleet -> format. Hit and miss paths
   /// both answer through evaluate_fleet, so cached responses are
   /// byte-identical to fresh ones. Thread-safe.
-  std::string handle_deploy(const std::string& request_block);
   std::string handle_deploy(const std::string& request_block,
-                            CancelToken cancel);
+                            CancelToken cancel = CancelToken());
 
   /// Handles one `sasynth-shard v1` block (serve/shard.h) — the worker side
   /// of the shard tier: parse -> windowed phase-1 sweep (through the shared
@@ -106,29 +102,20 @@ class SynthServer {
   /// -> partial top-K response. No DesignCache involvement: a windowed
   /// partial is not a full response, and the coordinator owns the response
   /// cache. Thread-safe.
-  std::string handle_shard(const std::string& request_block);
   std::string handle_shard(const std::string& request_block,
-                           CancelToken cancel);
-
-  /// Runs one session: frames request blocks and commands from `read_line`
-  /// (false = EOF) with FrameAssembler, fans requests through the
-  /// scheduler, and emits responses through `write_response` in request
-  /// order from a dedicated writer thread. Returns after EOF or `shutdown`,
-  /// with all accepted work drained and flushed. The stdio transport; TCP
-  /// sessions run on the event loop instead.
-  void serve(const LineSource& read_line, const ResponseSink& write_response);
+                           CancelToken cancel = CancelToken());
 
   /// Delivers the response for one session sequence number. May be invoked
-  /// on any thread (a pool worker, another session's thread, or inline from
+  /// on any thread (a pool worker, the loop thread, or inline from
   /// submit_session_block), exactly once per submitted seq.
   using PostResponse =
       std::function<void(std::uint64_t seq, std::string response)>;
 
-  /// Session-block admission shared by serve() and the event loop
-  /// (serve/event_loop.h): resolves the request's end-to-end budget
-  /// (explicit deadline_ms wins, else --default-deadline, else unbounded),
-  /// coalesces identical in-flight requests through the singleflight table,
-  /// and submits leaders through the scheduler. `post` is called exactly
+  /// Session-block admission for the event loop (serve/event_loop.h):
+  /// resolves the request's end-to-end budget (explicit deadline_ms wins,
+  /// else --default-deadline, else unbounded), coalesces identical in-flight
+  /// requests through the singleflight table, and submits leaders through
+  /// the scheduler. `post` is called exactly
   /// once with the response for `seq` — possibly before this returns
   /// (admission refusal) and possibly on another thread. A coalesced
   /// follower costs no scheduler slot; it is answered from the leader's
@@ -144,7 +131,6 @@ class SynthServer {
   /// `stats --format=prom|json`, `shutdown`, or unknown) and returns its
   /// response text. `stats` and `shutdown` drain the scheduler first (the
   /// documented blocking points); `shutdown` also flips stop_requested().
-  /// Shared by both transports so command semantics cannot drift.
   std::string handle_command(const std::string& command);
 
   /// `stats` command payload (drained sessions make it deterministic up to
@@ -160,10 +146,9 @@ class SynthServer {
   /// True once any session processed `shutdown` — transports stop accepting.
   bool stop_requested() const { return stop_.load(); }
 
-  /// Graceful-drain entry (SIGTERM path): flips the server into draining
-  /// mode — sessions stop reading further input, health reports `draining` —
-  /// without waiting. The caller bounds the actual drain via
-  /// scheduler().drain_for().
+  /// Graceful-drain entry (the event loop's drain): flips the server into
+  /// draining mode — sessions stop reading further input, health reports
+  /// `draining` — without waiting. The loop bounds the actual drain.
   void begin_drain();
 
   /// True between begin_drain() and process exit.

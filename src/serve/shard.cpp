@@ -235,7 +235,8 @@ ShardPartial parse_shard_response(const std::string& text,
   }
   result.cancelled = cancelled != 0;
 
-  result.designs.reserve(static_cast<std::size_t>(candidates));
+  // No reserve(candidates): the count is untrusted wire data, and a huge one
+  // must fail as a truncated blob below, not as a throwing allocation.
   for (std::int64_t d = 0; d < candidates; ++d) {
     // Each candidate is an embedded `sasynth-design v1` blob: magic,
     // mapping, shape, middle — the exact save_design_text layout.
@@ -439,7 +440,14 @@ std::vector<DseCandidate> ShardCoordinator::run_round(
                              worker_request, state->begin, state->end,
                              remaining_ms)] {
         const auto rpc_start = PeerHealthRegistry::Clock::now();
-        ShardPartial partial = call_peer(peer, block, nest);
+        // The range must complete whatever happens: the collector waits on
+        // `done`, and the pool swallows a task's exception.
+        ShardPartial partial;
+        try {
+          partial = call_peer(peer, block, nest);
+        } catch (const std::exception& e) {
+          partial.error = "peer " + peer + ": " + e.what();
+        }
         const auto rpc_end = PeerHealthRegistry::Clock::now();
         const bool usable = partial.ok && partial.total_items == total;
         if (usable) {

@@ -59,7 +59,6 @@ class SweepCache : public SweepMemo {
                   const std::vector<std::int64_t>& best_s) override;
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {

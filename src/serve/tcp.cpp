@@ -209,14 +209,8 @@ bool write_all_fd(int fd, const std::string& data, std::int64_t timeout_ms) {
       return false;
     }
     // send(MSG_NOSIGNAL) so a vanished peer surfaces as EPIPE on this call
-    // instead of SIGPIPE killing the whole daemon; pipes and regular fds
-    // (tests, stdio plumbing) are not sockets, so fall back to write(2)
-    // for them — writes to broken pipes are covered by the SIG_IGN the
-    // daemon installs at startup.
-    ssize_t n = ::send(fd, data.data() + written, want, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, data.data() + written, want);
-    }
+    // instead of SIGPIPE killing the whole daemon.
+    const ssize_t n = ::send(fd, data.data() + written, want, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // poll again

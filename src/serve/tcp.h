@@ -1,6 +1,6 @@
 // POSIX socket I/O for the synthesis service: the listener the event loop
-// (serve/event_loop.h) accepts from, and the line reader and writer that
-// stdio serving, the shard client and the peer prober use.
+// (serve/event_loop.h) accepts from, and the blocking line reader and writer
+// that the shard client and the peer prober use.
 //
 // The daemon binds the loopback interface only: sasynthd speaks an
 // unauthenticated text protocol, so exposure beyond the host is a deployment
@@ -43,11 +43,11 @@ class TcpListener {
   int port_ = 0;
 };
 
-/// Buffered line reader over a socket, pipe or regular-file fd, framed by
-/// LineFramer: a trailing unterminated line is delivered at clean EOF. A
-/// read *error* is different from EOF: any buffered partial line is dropped
-/// (a truncated request must never reach the parser as if it were
-/// complete), read_line returns false, and failed() reports true.
+/// Buffered line reader over a socket fd, framed by LineFramer: a trailing
+/// unterminated line is delivered at clean EOF. A read *error* is different
+/// from EOF: any buffered partial line is dropped (a truncated request must
+/// never reach the parser as if it were complete), read_line returns false,
+/// and failed() reports true.
 ///
 /// With `timeout_ms` > 0 the reader polls before every read and gives up
 /// once no byte has arrived for that long (a peer that went silent cannot
@@ -72,13 +72,12 @@ class FdLineReader {
   bool failed_ = false;
 };
 
-/// Writes all of `data` to `fd`; false on error. Sockets are written with
-/// send(MSG_NOSIGNAL) so a disconnected peer yields EPIPE here instead of a
-/// process-killing SIGPIPE; non-socket fds fall back to write(2).
-/// With `timeout_ms` > 0 each blocked stretch is bounded by poll(POLLOUT):
-/// a peer that stops reading (full receive window) fails the write with
-/// ETIMEDOUT and a tick in `io_timeouts_total` instead of wedging the
-/// writing thread.
+/// Writes all of `data` to the socket `fd`; false on error. It writes with
+/// send(MSG_NOSIGNAL), so a disconnected peer yields EPIPE here instead of
+/// a process-killing SIGPIPE. With `timeout_ms` > 0 each blocked stretch is
+/// bounded by poll(POLLOUT): a peer that stops reading (full receive window)
+/// fails the write with ETIMEDOUT and a tick in `io_timeouts_total` instead
+/// of wedging the writing thread.
 bool write_all_fd(int fd, const std::string& data, std::int64_t timeout_ms = 0);
 
 }  // namespace sasynth

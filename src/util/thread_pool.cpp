@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace sasynth {
 
@@ -38,11 +39,9 @@ struct PoolMetrics {
 
 int ThreadPool::env_jobs() {
   const char* env = std::getenv("SASYNTH_JOBS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 1) return 0;
-  return static_cast<int>(std::min<long>(v, 1024));
+  std::int64_t v = 0;
+  if (env == nullptr || !parse_int64_strict(env, &v) || v < 1) return 0;
+  return static_cast<int>(std::min<std::int64_t>(v, 1024));
 }
 
 int ThreadPool::resolve_jobs(int requested) {

@@ -63,8 +63,8 @@ class ThreadPool {
   /// of for_each (ranges and tasks are tracked separately).
   void wait_tasks();
 
-  /// Worker count requested via the SASYNTH_JOBS environment variable, or 0
-  /// when unset/invalid.
+  /// Worker count requested via the SASYNTH_JOBS environment variable,
+  /// capped at 1024; 0 when unset or invalid (not a strict int64, or < 1).
   static int env_jobs();
 
   /// requested > 0 wins; otherwise SASYNTH_JOBS; otherwise

@@ -145,6 +145,14 @@ INSTANTIATE_TEST_SUITE_P(
                  "sasynth-design v1\nmapping row=x col=2 vec=1\n"
                  "shape 2 2 2\nmiddle 1 1 1 1 1 1\n",
                  "mapping"},
+        BadInput{"mapping_empty_role",
+                 "sasynth-design v1\nmapping row= col=2 vec=1\n"
+                 "shape 2 2 2\nmiddle 1 1 1 1 1 1\n",
+                 "malformed mapping roles"},
+        BadInput{"mapping_role_beyond_int64",
+                 "sasynth-design v1\nmapping row=99999999999999999999 col=2 "
+                 "vec=1\nshape 2 2 2\nmiddle 1 1 1 1 1 1\n",
+                 "malformed mapping roles"},
         BadInput{"middle_zero",
                  "sasynth-design v1\nmapping row=0 col=2 vec=1\n"
                  "shape 2 2 2\nmiddle 1 0 1 1 1 1\n",

@@ -69,6 +69,11 @@ TEST(Lexer, MalformedNumberRejected) {
   std::string error;
   EXPECT_FALSE(lex("123abc", &tokens, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
+  // Beyond int64: a parse error, not an uncaught std::out_of_range.
+  EXPECT_FALSE(lex("a\n99999999999999999999", &tokens, &error));
+  EXPECT_EQ(error, "line 2: number out of range");
+  ASSERT_TRUE(lex("9223372036854775807", &tokens, &error)) << error;
+  EXPECT_EQ(tokens[0].value, 9223372036854775807LL);
 }
 
 TEST(Lexer, UnexpectedCharacterRejected) {

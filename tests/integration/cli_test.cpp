@@ -1,6 +1,7 @@
 // End-to-end tests of the sasynth_cli binary (run via the shell; tests are
 // skipped if the binary is not where the build puts it).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -84,6 +85,27 @@ TEST_F(CliTest, FileModeAndArtifacts) {
     std::ifstream f(out_dir + "/" + artifact);
     EXPECT_TRUE(f.good()) << artifact;
   }
+}
+
+TEST_F(CliTest, IntegerLiteralBeyondInt64IsAParseError) {
+  const std::string src_path = ::testing::TempDir() + "/cli_huge_bound.c";
+  {
+    std::ofstream src(src_path);
+    src << "#pragma sasynth systolic\n"
+           "for (o = 0; o < 99999999999999999999; o++)\n"
+           " for (i = 0; i < 16; i++)\n"
+           "  for (c = 0; c < 8; c++)\n"
+           "   for (r = 0; r < 8; r++)\n"
+           "    for (p = 0; p < 3; p++)\n"
+           "     for (q = 0; q < 3; q++)\n"
+           "      OUT[o][r][c] += W[o][i][p][q] * IN[i][r + p][c + q];\n";
+  }
+  std::string out;
+  const int status = run_cli("--device tiny " + src_path, &out);
+  // A parse error (exit 1), not an uncaught std::out_of_range (abort).
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+  EXPECT_NE(out.find("line 2: number out of range"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, DesignSaveLoadRoundTrip) {

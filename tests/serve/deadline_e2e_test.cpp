@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <string>
-#include <vector>
 
 #include "core/dse.h"
 #include "loopnest/conv_nest.h"
@@ -150,16 +149,7 @@ TEST(ServerHealthTest, HealthCommandAnsweredInSession) {
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
-  std::vector<std::string> lines = {"health"};
-  std::size_t at = 0;
-  std::string transcript;
-  server.serve(
-      [&](std::string* line) {
-        if (at >= lines.size()) return false;
-        *line = lines[at++];
-        return true;
-      },
-      [&](const std::string& response) { transcript += response; });
+  const std::string transcript = run_session(server, "health\n");
   EXPECT_NE(transcript.find("sasynth-health v1"), std::string::npos)
       << transcript;
   EXPECT_NE(transcript.find("uptime_s "), std::string::npos);
@@ -171,19 +161,10 @@ TEST(ServerDeadlineTest, ZeroDeadlineShedsAtAdmission) {
   ServeOptions options;
   options.jobs = 1;
   SynthServer server(options);
-  std::vector<std::string> lines = {
-      "sasynth-request v1", "layer 16,16,8,8,3", "device tiny",
-      "deadline_ms 0",      "end",
-  };
-  std::size_t at = 0;
-  std::string transcript;
-  server.serve(
-      [&](std::string* line) {
-        if (at >= lines.size()) return false;
-        *line = lines[at++];
-        return true;
-      },
-      [&](const std::string& response) { transcript += response; });
+  const std::string transcript = run_session(
+      server,
+      "sasynth-request v1\nlayer 16,16,8,8,3\ndevice tiny\n"
+      "deadline_ms 0\nend\n");
   EXPECT_EQ(transcript,
             "sasynth-response v1 timeout deadline expired before admission\n"
             "end\n");

@@ -3,12 +3,11 @@
 // of synthesis and deploy blocks.
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/deploy_protocol.h"
 #include "serve/server.h"
+#include "support/loop_harness.h"
 #include "support/metric_deltas.h"
 #include "util/deadline.h"
 #include "util/strings.h"
@@ -38,24 +37,6 @@ ServeOptions memory_options(int jobs = 1) {
   options.jobs = jobs;
   options.cache_capacity = 16;
   return options;
-}
-
-std::string run_session(SynthServer& server, const std::string& input) {
-  std::vector<std::string> lines = split(input, '\n');
-  std::size_t i = 0;
-  std::string transcript;
-  std::mutex mutex;
-  server.serve(
-      [&](std::string* line) {
-        if (i >= lines.size()) return false;
-        *line = lines[i++];
-        return true;
-      },
-      [&](const std::string& response) {
-        std::lock_guard<std::mutex> lock(mutex);
-        transcript += response;
-      });
-  return transcript;
 }
 
 TEST(DeployProtocol, ParsesAFullRequest) {

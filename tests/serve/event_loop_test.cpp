@@ -80,6 +80,33 @@ TEST_F(EventLoopTest, EndToEndSessionMatchesTheBlockingTransport) {
   EXPECT_NE(transcript.find(ref), std::string::npos) << transcript;
 }
 
+// The stdio transport's shape: one session handed over by start_on, with no
+// listener. It answers exactly as a TCP session does, and once it ends the
+// loop has nothing left to serve, so run() drains and returns.
+TEST_F(EventLoopTest, StartOnServesOneSessionAndReturnsAtItsEnd) {
+  ServeOptions options;
+  options.jobs = 1;
+  const std::string script = "ping\n" + request_block(0.5) + "bogus\n";
+  SynthServer tcp_server(options);
+  const std::string expected = run_session(tcp_server, script);
+
+  SynthServer server(options);
+  EventLoopServer loop(server, {});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string error;
+  ASSERT_TRUE(loop.start_on(fds[0], &error)) << error;
+  int status = -1;
+  std::thread runner([&] { status = loop.run(); });
+  ASSERT_TRUE(client_send_all(fds[1], script));
+  ::shutdown(fds[1], SHUT_WR);
+  EXPECT_EQ(read_to_eof(fds[1]), expected);
+  runner.join();
+  EXPECT_EQ(status, 0);
+  EXPECT_TRUE(server.draining());
+  ::close(fds[1]);
+}
+
 TEST_F(EventLoopTest, StormOfMixedSessionsMatchesSerialReplay) {
   // 64 concurrent sessions: 8 unique requests x 8 duplicate sessions each.
   // Every transcript must be byte-identical to a serial replay, and the 8

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/loop_harness.h"
 #include "support/metric_deltas.h"
 #include "util/strings.h"
 
@@ -45,26 +46,6 @@ std::string cache_dir(const char* tag) {
       (std::string("sasynth_server_") + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
-}
-
-/// Runs one session over a canned line stream; returns every response
-/// concatenated in emit order.
-std::string run_session(SynthServer& server, const std::string& input) {
-  std::vector<std::string> lines = split(input, '\n');
-  std::size_t i = 0;
-  std::string transcript;
-  std::mutex mutex;  // writer thread vs. test thread
-  server.serve(
-      [&](std::string* line) {
-        if (i >= lines.size()) return false;
-        *line = lines[i++];
-        return true;
-      },
-      [&](const std::string& response) {
-        std::lock_guard<std::mutex> lock(mutex);
-        transcript += response;
-      });
-  return transcript;
 }
 
 TEST(SynthServerTest, MalformedRequestGetsErrorResponse) {
@@ -192,29 +173,16 @@ TEST(SynthServerTest, BackpressureAnswersRetryDeterministically) {
     cv.wait(lock, [&] { return open; });
   }));
 
-  std::vector<std::string> lines = split(std::string(kRequestA), '\n');
-  std::size_t i = 0;
-  std::string transcript;
-  std::mutex transcript_mutex;
-  server.serve(
-      [&](std::string* line) {
-        if (i < lines.size()) {
-          *line = lines[i++];
-          return true;
-        }
-        // The request block has been submitted (and refused) by now; release
-        // the blocker so the session's final drain can finish.
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          open = true;
-        }
-        cv.notify_all();
-        return false;
-      },
-      [&](const std::string& response) {
-        std::lock_guard<std::mutex> lock(transcript_mutex);
-        transcript += response;
-      });
+  LoopRunner runner(server);
+  const std::string transcript = run_client(runner.port(), kRequestA);
+  // The request block has been submitted (and refused) by now; release the
+  // blocker so the loop's drain can finish.
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+  }
+  cv.notify_all();
+  EXPECT_EQ(runner.stop(), 0);
 
   EXPECT_NE(transcript.find("sasynth-response v1 retry"), std::string::npos)
       << transcript;
@@ -325,9 +293,10 @@ TEST(SynthServerTest, TranscriptIsInvariantAcrossJobsAndCacheState) {
   }
   {  // warm replay on one server: second pass is all cache hits
     SynthServer server(memory_options(/*jobs=*/2));
-    EXPECT_EQ(run_session(server, stream), reference);
+    LoopRunner runner(server);  // one loop: stopping it drains the server
+    EXPECT_EQ(run_client(runner.port(), stream), reference);
     const MetricDeltas delta;
-    EXPECT_EQ(run_session(server, stream), reference);
+    EXPECT_EQ(run_client(runner.port(), stream), reference);
     EXPECT_EQ(delta("serve_dse_work_items_total"), 0);
   }
 }

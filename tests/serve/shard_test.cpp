@@ -1,9 +1,9 @@
 // Sharded-DSE tier tests: wire-block round trips, peer-list validation,
 // byte-identity of the coordinator against single-node at several shard and
-// jobs counts, degradation on dead/faulty peers, and coordinator drain with
-// worker RPCs in flight. Workers are real in-process daemons (SynthServer
-// behind an EventLoopServer on an ephemeral loopback port) so every test
-// exercises the actual TCP path the fleet uses.
+// jobs counts, degradation on dead/faulty/malformed peers, and coordinator
+// drain with worker RPCs in flight. Workers are real in-process daemons
+// (SynthServer behind an EventLoopServer on an ephemeral loopback port) so
+// every test exercises the actual TCP path the fleet uses.
 #include "serve/shard.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/design_io.h"
@@ -206,6 +208,24 @@ TEST_F(ShardTest, ShardResponseRoundTripsDesigns) {
   EXPECT_FALSE(corrupt.ok);
 }
 
+// A candidate count is untrusted wire data: a huge one is a malformed
+// partial, never a throwing allocation sized by the peer.
+TEST_F(ShardTest, HugeCandidateCountIsMalformedNotThrown) {
+  const ParsedRequest inner = parse_request_block(
+      "sasynth-request v1\nlayer 16,16,8,8,3\ndevice tiny\nend\n");
+  ASSERT_TRUE(inner.ok) << inner.error;
+  const LoopNest nest = build_conv_nest(inner.request.layer);
+  for (const char* count : {"100000000000", "9223372036854775807"}) {
+    const std::string text = std::string(kShardResponseMagic) +
+                             " ok\nitems 0\ncancelled 0\nwork_items 0\n"
+                             "candidates " +
+                             count + "\nend\n";
+    ShardPartial partial;
+    EXPECT_NO_THROW(partial = parse_shard_response(text, nest)) << count;
+    EXPECT_FALSE(partial.ok) << count;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The worker side: shard blocks over the real event-loop transport.
 
@@ -375,6 +395,76 @@ TEST_F(ShardTest, ShardFaultSitesAllDegradeWithoutChangingBytes) {
       fault::disarm_all();
     }
   }
+}
+
+/// A fake worker: every connection gets `response` once its request block's
+/// `end` line has arrived.
+class FakePeer {
+ public:
+  explicit FakePeer(std::string response) : response_(std::move(response)) {
+    std::string error;
+    EXPECT_TRUE(listener_.listen_on(0, &error)) << error;
+    thread_ = std::thread([this] {
+      for (;;) {
+        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+        if (fd < 0) return;  // the destructor shut the listener down
+        std::string request;
+        char chunk[4096];
+        ssize_t n;
+        while (request.find("\nend\n") == std::string::npos &&
+               (n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+          request.append(chunk, static_cast<std::size_t>(n));
+        }
+        client_send_all(fd, response_);
+        ::close(fd);
+      }
+    });
+  }
+
+  ~FakePeer() {
+    ::shutdown(listener_.fd(), SHUT_RDWR);  // wakes the blocked accept
+    thread_.join();
+  }
+
+  FakePeer(const FakePeer&) = delete;
+  FakePeer& operator=(const FakePeer&) = delete;
+
+  std::string peer() const {
+    return "127.0.0.1:" + std::to_string(listener_.port());
+  }
+
+ private:
+  std::string response_;
+  TcpListener listener_;
+  std::thread thread_;
+};
+
+// A malformed partial is a peer failure like any other: the range completes,
+// degrades to local execution and tells the breaker. The hedge delay only
+// bounds the test should the range never complete; it must not fire.
+TEST_F(ShardTest, MalformedPartialDegradesAndCountsAsAPeerFailure) {
+  const std::string block =
+      "sasynth-request v1\nlayer 16,16,8,8,3\ndevice tiny\n"
+      "option min_util 0.5\nend\n";
+  SynthServer reference({});
+  const std::string expected = reference.handle(block);
+  ASSERT_NE(expected.find("sasynth-response v1 ok"), std::string::npos)
+      << expected;
+
+  FakePeer fake(std::string(kShardResponseMagic) +
+                " ok\nitems 0\ncancelled 0\nwork_items 0\n"
+                "candidates 100000000000\nend\n");
+  ServeOptions options;
+  options.cache_enabled = false;
+  options.shard_peers = {fake.peer()};
+  options.shard_hedge_ms = 2000;
+  SynthServer coordinator(options);
+  const MetricDeltas delta;
+  EXPECT_EQ(coordinator.handle(block), expected);
+  EXPECT_EQ(delta("shard_degraded_total"), 1);
+  EXPECT_EQ(delta("shard_hedges_total"), 0);
+  const std::string health = coordinator.health_text();
+  EXPECT_NE(health.find("peer0_failures 1\n"), std::string::npos) << health;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -19,7 +20,7 @@ TEST(TcpListenerTest, EphemeralPortIsReported) {
 
 TEST(FdLineReaderTest, SplitsLinesAndDeliversTrailingFragment) {
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload = "alpha\nbeta\n\ngamma";  // no trailing newline
   ASSERT_TRUE(write_all_fd(fds[1], payload));
   ::close(fds[1]);

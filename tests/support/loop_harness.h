@@ -123,6 +123,14 @@ class LoopRunner {
   std::thread thread_;
 };
 
+/// One whole session against `server` on a fresh loop; returns the
+/// transcript. Stopping the loop begins the server's drain, so this serves
+/// one session per server: keep one LoopRunner to serve more.
+inline std::string run_session(SynthServer& server, const std::string& script) {
+  LoopRunner runner(server);
+  return run_client(runner.port(), script);
+}
+
 /// One whole in-process daemon: a SynthServer behind a LoopRunner, running
 /// until stop() or destruction. `port` 0 = ephemeral; a fixed port lets a
 /// test restart a killed worker on the same address.

@@ -28,6 +28,11 @@ TEST(ThreadPoolTest, EnvOverrideControlsDefault) {
 
   ASSERT_EQ(setenv("SASYNTH_JOBS", "garbage", 1), 0);
   EXPECT_EQ(ThreadPool::env_jobs(), 0);
+  // Beyond int64 is invalid, not saturated to the 1024 cap.
+  ASSERT_EQ(setenv("SASYNTH_JOBS", "99999999999999999999", 1), 0);
+  EXPECT_EQ(ThreadPool::env_jobs(), 0);
+  ASSERT_EQ(setenv("SASYNTH_JOBS", "", 1), 0);
+  EXPECT_EQ(ThreadPool::env_jobs(), 0);
   ASSERT_EQ(unsetenv("SASYNTH_JOBS"), 0);
   EXPECT_EQ(ThreadPool::env_jobs(), 0);
 }

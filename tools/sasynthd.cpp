@@ -4,6 +4,8 @@
 // (default) or a loopback TCP port, in front of a persistent DesignCache:
 // a (layer, device, dtype, options) tuple that has been solved before is
 // answered from the cache without re-entering the design space exploration.
+// Both transports run on one event loop (serve/event_loop.h); stdio reaches
+// it through a socketpair bridge.
 //
 // Usage:
 //   sasynthd [options]
@@ -56,15 +58,18 @@
 // trigger the same drain bounded by --drain-timeout: stop accepting, finish
 // in-flight work, dump observability, exit 0 (or 1 if the bound expired with
 // work still in flight).
+#include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -76,7 +81,6 @@
 #include "obs/trace.h"
 #include "serve/event_loop.h"
 #include "serve/server.h"
-#include "serve/tcp.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -161,97 +165,83 @@ void dump_observability(const std::string& metrics_path,
 }
 
 /// Last signal delivered (0 = none). Written by the async handler, polled by
-/// the drain watcher — the handler itself does nothing non-async-signal-safe.
+/// the signal watcher — the handler itself does nothing non-async-signal-safe.
 std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
 
-/// Polls g_signal (~50 ms) and runs the stdio-mode graceful drain when it
-/// fires: stop reading (begin_drain), wait up to drain_timeout_ms for
-/// in-flight requests, dump observability, exit. _Exit skips static
-/// destructors on purpose — the session may still be parked on a dead stdin,
-/// and a clean drain must not hang on it. (TCP mode drains through the event
-/// loop instead; see serve_tcp.)
-class DrainWatcher {
- public:
-  DrainWatcher(SynthServer& server, std::int64_t drain_timeout_ms,
-               std::string metrics_out, std::string trace_out)
-      : thread_([&server, drain_timeout_ms,
-                 metrics_out = std::move(metrics_out),
-                 trace_out = std::move(trace_out), this] {
-          while (!stop_.load()) {
-            const int sig = g_signal.load();
-            if (sig != 0) {
-              std::fprintf(stderr,
-                           "sasynthd: received %s, draining (up to %lld ms)\n",
-                           sig == SIGTERM ? "SIGTERM" : "SIGINT",
-                           static_cast<long long>(drain_timeout_ms));
-              std::fflush(stderr);
-              server.begin_drain();
-              const bool drained =
-                  server.scheduler().drain_for(drain_timeout_ms);
-              dump_observability(metrics_out, trace_out);
-              std::fprintf(stderr,
-                           drained
-                               ? "sasynthd: drained, exiting\n"
-                               : "sasynthd: drain timeout with work still in "
-                                 "flight, exiting\n");
-              std::fflush(nullptr);
-              std::_Exit(drained ? 0 : 1);
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          }
-        }) {}
-
-  ~DrainWatcher() {
-    stop_.store(true);
-    thread_.join();
+/// write(2)s all `n` bytes to `fd`; false on error. The stdio pumps' writer:
+/// it fires no fault site and works on sockets, pipes, files and terminals.
+bool write_all(int fd, const char* data, std::size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, data, n);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    data += w;
+    n -= static_cast<std::size_t>(w);
   }
-
- private:
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
-
-int serve_stdio(SynthServer& server, std::int64_t drain_timeout_ms,
-                const std::string& metrics_out, const std::string& trace_out) {
-  DrainWatcher watcher(server, drain_timeout_ms, metrics_out, trace_out);
-  // stdin reads through the same line framer as every other transport (and
-  // fires its tcp.read fault site). No timeout: --io-timeout is TCP-only.
-  FdLineReader reader(STDIN_FILENO);
-  server.serve(
-      [&reader](std::string* line) { return reader.read_line(line); },
-      [](const std::string& response) {
-        std::cout << response;
-        std::cout.flush();
-      });
-  return 0;
+  return true;
 }
 
-int serve_tcp(SynthServer& server, int port, std::int64_t max_connections,
-              std::int64_t drain_timeout_ms, const std::string& metrics_out,
-              const std::string& trace_out) {
-  EventLoopOptions loop_options;
-  loop_options.port = port;
-  loop_options.max_connections = max_connections;
-  loop_options.drain_timeout_ms = drain_timeout_ms;
-  EventLoopServer loop(server, loop_options);
-  std::string error;
-  if (!loop.start(&error)) {
-    // One line, fatal: an operator restarting into EADDRINUSE needs the
-    // reason and the errno, not a stack of log noise.
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
+/// stdio mode: the event loop serves one session on one end of a socketpair,
+/// and two byte pumps bridge the other end to stdin and stdout. The loop thus
+/// polls only a socket, whatever stdin and stdout are (epoll rejects regular
+/// files). The pumps copy bytes and nothing else: framing, response order
+/// and the tcp.read/tcp.write fault sites all stay in the loop.
+bool start_stdio_bridge(EventLoopServer& loop, std::thread* stdout_pump,
+                        std::string* error) {
+  // A closed stdin or stdout must not hand its number to a bridge end (the
+  // pumps would then copy the session into itself): park closed standard
+  // fds on /dev/null first, where stdin reads EOF and stdout discards.
+  for (int fd = STDIN_FILENO; fd <= STDERR_FILENO; ++fd) {
+    if (::fcntl(fd, F_GETFD) < 0) ::open("/dev/null", O_RDWR);
   }
-  // On stdout (not stderr) and flushed immediately: with --port 0 the
-  // kernel-chosen port IS the program's output, and wrappers scrape it.
-  std::printf("sasynthd listening on 127.0.0.1:%d\n", loop.port());
-  std::fflush(stdout);
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) < 0) {
+    *error = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  if (!loop.start_on(fds[0], error)) return false;
+  // The bridge's own end is never closed before exit: the detached stdin
+  // pump may still hold it.
+  const int bridge = fds[1];
+  // Detached, because at exit it may be parked on a stdin that never ends.
+  // EOF (or a read error) half-closes the bridge, which the session reads
+  // as its EOF.
+  std::thread([bridge] {
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+      const int err = errno;
+      if (n < 0 && err == EINTR) continue;
+      if (n < 0) SA_LOG_WARN << "stdin read failed: " << std::strerror(err);
+      if (n <= 0 || !write_all(bridge, buf, static_cast<std::size_t>(n))) break;
+    }
+    ::shutdown(bridge, SHUT_WR);
+  }).detach();
+  // Ends when the loop closes its end. A failed stdout write shuts the bridge
+  // down, so the session ends instead of blocking on responses nobody reads.
+  *stdout_pump = std::thread([bridge] {
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::read(bridge, buf, sizeof(buf));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      if (!write_all(STDOUT_FILENO, buf, static_cast<std::size_t>(n))) {
+        ::shutdown(bridge, SHUT_RDWR);
+        return;
+      }
+    }
+  });
+  return true;
+}
 
-  // The signal watcher only announces the drain and hands it to the loop;
-  // the loop itself bounds it (drain_timeout_ms) and reports via run()'s
-  // status. A second signal while draining is absorbed — the bound, not the
-  // operator's patience, decides when a stuck drain gives up.
+/// Runs the loop to completion and returns its status. The signal watcher
+/// only announces the drain and hands it to the loop; the loop itself bounds
+/// it (drain_timeout_ms) and reports via run()'s status. A second signal
+/// while draining is absorbed — the bound, not the operator's patience,
+/// decides when a stuck drain gives up.
+int run_loop(EventLoopServer& loop, std::int64_t drain_timeout_ms) {
   std::atomic<bool> watcher_stop{false};
   std::thread watcher([&] {
     while (!watcher_stop.load()) {
@@ -271,18 +261,6 @@ int serve_tcp(SynthServer& server, int port, std::int64_t max_connections,
   const int status = loop.run();
   watcher_stop.store(true);
   watcher.join();
-  if (g_signal.load() != 0) {
-    // The signal path owns its own exit: dump, report, _Exit. Skipping
-    // static destructors is deliberate — a forced drain (status 1) leaves
-    // pool workers mid-request, and exiting must not hang on them.
-    dump_observability(metrics_out, trace_out);
-    std::fprintf(stderr, status == 0
-                             ? "sasynthd: drained, exiting\n"
-                             : "sasynthd: drain timeout with work still in "
-                               "flight, exiting\n");
-    std::fflush(nullptr);
-    std::_Exit(status);
-  }
   return status;
 }
 
@@ -379,11 +357,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --io-timeout is TCP-only: a stdio session may idle as long as its
+  // stdin does.
+  if (port < 0) options.io_timeout_ms = 0;
+
   // A client that disconnects mid-response must surface as EPIPE on the
   // write (handled per-session), never as a SIGPIPE killing every other
   // session in the process.
   std::signal(SIGPIPE, SIG_IGN);
-  // SIGTERM/SIGINT run the bounded graceful drain (DrainWatcher above)
+  // SIGTERM/SIGINT run the loop's bounded graceful drain (run_loop above)
   // instead of the default instant kill.
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
@@ -413,11 +395,41 @@ int main(int argc, char** argv) {
                       ? (options.cache_dir.empty() ? "<memory>"
                                                    : options.cache_dir.c_str())
                       : "<disabled>");
-  const int status =
-      port >= 0 ? serve_tcp(server, port, max_connections, drain_timeout_ms,
-                            metrics_out_path, trace_out_path)
-                : serve_stdio(server, drain_timeout_ms, metrics_out_path,
-                              trace_out_path);
+  EventLoopOptions loop_options;
+  loop_options.port = port;
+  loop_options.max_connections = max_connections;
+  loop_options.drain_timeout_ms = drain_timeout_ms;
+  EventLoopServer loop(server, loop_options);
+  std::thread stdout_pump;  // stdio mode only
+  std::string error;
+  if (port >= 0 ? !loop.start(&error)
+                : !start_stdio_bridge(loop, &stdout_pump, &error)) {
+    // One line, fatal: an operator restarting into EADDRINUSE needs the
+    // reason and the errno, not a stack of log noise.
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  if (port >= 0) {
+    // On stdout (not stderr) and flushed immediately: with --port 0 the
+    // kernel-chosen port IS the program's output, and wrappers scrape it.
+    std::printf("sasynthd listening on 127.0.0.1:%d\n", loop.port());
+    std::fflush(stdout);
+  }
+  const int status = run_loop(loop, drain_timeout_ms);
+  // Every response the loop flushed reaches stdout before exit.
+  if (stdout_pump.joinable()) stdout_pump.join();
+  if (g_signal.load() != 0) {
+    // The signal path owns its own exit: dump, report, _Exit. Skipping
+    // static destructors is deliberate — a forced drain (status 1) leaves
+    // pool workers mid-request, and exiting must not hang on them.
+    dump_observability(metrics_out_path, trace_out_path);
+    std::fprintf(stderr, status == 0
+                             ? "sasynthd: drained, exiting\n"
+                             : "sasynthd: drain timeout with work still in "
+                               "flight, exiting\n");
+    std::fflush(nullptr);
+    std::_Exit(status);
+  }
   dump_observability(metrics_out_path, trace_out_path);
   SA_LOG_INFO << "sasynthd: exiting\n";
   return status;
