@@ -105,8 +105,9 @@ int main() {
 
   // Part 3: one row per pruning rule, read back from the obs registry. The
   // workload is three serve requests on an AlexNet-conv5-sized layer: a cold
-  // sweep, an H/W-only-differing sibling (hint tier), and a relaxed-c_s
-  // retry of the first (exact tier). Every count is a before/after delta of
+  // sweep, an H/W-only-differing sibling (a second cold sweep: the trips
+  // differ, so it shares no sweep-cache entry), and a relaxed-c_s retry of
+  // the first (sweep-cache replay). Every count is a before/after delta of
   // the process-global counters the daemon exports — the bench re-derives
   // nothing, so a rule that stops firing shows up here as a zero row.
   std::printf("\nPart 3: per-rule pruning ablation (obs counter deltas)\n");
@@ -127,8 +128,7 @@ int main() {
        "dse_bound_seed_evals_total"},
       {"DFS corner-bound subtree skip", "dse_reuse_subtrees_pruned_total",
        "dse_reuse_bound_evals_total"},
-      {"sweep cache, exact tier", "sweep_cache_exact_hits_total", nullptr},
-      {"sweep cache, hint tier", "sweep_cache_hint_hits_total", nullptr},
+      {"sweep cache replay", "sweep_cache_exact_hits_total", nullptr},
   };
   std::int64_t before_pruned[std::size(rules)];
   std::int64_t before_spent[std::size(rules)];
@@ -161,23 +161,7 @@ int main() {
       "device arria10_gt1150\n"
       "option min_util 0.7\n"
       "end\n";
-  // On the tiny device the sweep accepts fewer than top_k candidates, so the
-  // item floor stays -inf and every middle bound is memoized — the pair below
-  // is what lights up the hint tier (H/W-only siblings share no trip counts).
-  const char* kTinyCold =
-      "sasynth-request v1\n"
-      "layer 16,16,8,8,3\n"
-      "device tiny\n"
-      "option min_util 0.5\n"
-      "end\n";
-  const char* kTinySibling =
-      "sasynth-request v1\n"
-      "layer 16,16,6,6,3\n"
-      "device tiny\n"
-      "option min_util 0.5\n"
-      "end\n";
-  for (const char* request :
-       {kCold, kHwSibling, kRelaxed, kTinyCold, kTinySibling}) {
+  for (const char* request : {kCold, kHwSibling, kRelaxed}) {
     const std::string response = server.handle(request);
     if (response.rfind("sasynth-response v1 ok", 0) != 0) {
       std::fprintf(stderr, "serve request failed:\n%s\n", response.c_str());

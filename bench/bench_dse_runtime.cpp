@@ -233,8 +233,7 @@ std::string report_prune_speedup() {
       gates_ok = false;
     }
     // Warm incremental rerun: same layers with the sweep cache populated by
-    // a first pruned pass (exact tier replays the floor-seeding DFS runs;
-    // the hint tier seeds the floors of repeated geometry).
+    // a first pruned pass, which replays the floor-seeding DFS runs.
     if (is_alexnet) {
       SweepCache cache(1 << 16);
       (void)run_network_phase1(layers, /*prune=*/true, jobs, &cache);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -450,20 +449,14 @@ std::string item_key_text(const SystolicMapping& mapping,
 }  // namespace
 
 std::string sweep_context_text(const LoopNest& nest, const FpgaDevice& device,
-                               DataType dtype, const DseOptions& options,
-                               bool include_trips) {
+                               DataType dtype, const DseOptions& options) {
   // Every input the reuse DFS reads, rendered exactly (%.17g round-trips a
   // double). Two work items with equal context + item texts are therefore
-  // the same computation, which is what makes an exact-tier memo hit
-  // bit-identical to re-running the DFS.
-  std::string out = strformat(
-      "sweep-ctx v1 trips=%d loops=%zu\n", include_trips ? 1 : 0,
-      nest.num_loops());
+  // the same computation, which is what makes a memo hit bit-identical to
+  // re-running the DFS.
+  std::string out = strformat("sweep-ctx v1 loops=%zu\n", nest.num_loops());
   for (std::size_t l = 0; l < nest.num_loops(); ++l) {
-    if (include_trips) {
-      out += strformat("loop %lld\n",
-                       static_cast<long long>(nest.loop(l).trip));
-    }
+    out += strformat("loop %lld\n", static_cast<long long>(nest.loop(l).trip));
   }
   for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
     const AccessFunction& f = nest.accesses()[a].access;
@@ -515,10 +508,9 @@ std::string DseStats::summary() const {
                      static_cast<long long>(reuse_subtrees_pruned),
                      static_cast<long long>(reuse_bound_evals));
   }
-  if (memo_exact_hits > 0 || memo_hint_seeds > 0) {
-    out += strformat("; sweep memo %lld exact hits, %lld hint seeds",
-                     static_cast<long long>(memo_exact_hits),
-                     static_cast<long long>(memo_hint_seeds));
+  if (memo_exact_hits > 0) {
+    out += strformat("; sweep memo %lld exact hits",
+                     static_cast<long long>(memo_exact_hits));
   }
   if (util_relaxations > 0) {
     out += strformat("; c_s relaxed %lldx to %.3f",
@@ -703,40 +695,31 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
                     options_.assumed_freq_mhz * 1e-3);
   }
 
-  // Sweep-memo keys. The exact tier keys on the full DFS input (trips
-  // included) and replays results verbatim; the hint tier drops the trips so
-  // layers differing only in H/W can seed each other's floors.
+  // Sweep-memo context: rendered once per sweep, while an item's key text
+  // is rendered only when the memo is consulted for it.
   SweepMemo* const memo = options_.sweep_memo;
-  std::string exact_ctx;
-  std::string hint_ctx;
-  std::vector<std::string> item_keys;
-  if (memo != nullptr) {
-    exact_ctx =
-        sweep_context_text(nest, device_, dtype_, options_, /*include_trips=*/true);
-    hint_ctx = sweep_context_text(nest, device_, dtype_, options_,
-                                  /*include_trips=*/false);
-    item_keys.resize(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      item_keys[i] = item_key_text(*items[i].mapping, items[i].shape);
-    }
-  }
+  const std::string memo_ctx =
+      memo != nullptr ? sweep_context_text(nest, device_, dtype_, options_)
+                      : std::string();
 
-  // Resolves one work item into its slot: sweep-memo exact tier first, then
-  // the reuse DFS. Identical inputs produce identical slot bytes either way,
-  // so a warm memo never changes a result, only the time to reach it. A
-  // finite `floor` arms the corner-bound subtree skip inside the DFS; the
-  // result may then understate an item whose true best lies below the floor,
-  // so such runs are never stored into the memo — only exact (floor-free)
-  // results are shared across requests.
+  // Resolves one work item into its slot: sweep memo first, then the reuse
+  // DFS. A finite `floor` arms the corner-bound subtree skip inside the
+  // DFS; the result may then understate an item whose true best lies below
+  // the floor. The memo therefore answers and stores only floor-free
+  // evaluations, whose results are exact: a hit replays what the DFS would
+  // compute, so a warm memo never changes a slot, a stat the sweep prunes
+  // by, or a floor — only the time to reach them.
   auto evaluate_item = [&](std::int64_t i, MiddleCandidateCache& cache,
                            DseStats& ws, double floor) {
     const Phase1Item& item = items[static_cast<std::size_t>(i)];
+    const bool memoize =
+        memo != nullptr && !(mt_monotone && std::isfinite(floor));
+    const std::string key =
+        memoize ? item_key_text(*item.mapping, item.shape) : std::string();
     std::vector<std::int64_t> best_s;
     bool found = false;
-    SweepMemo::ExactResult cached;
-    if (memo != nullptr &&
-        memo->lookup_exact(exact_ctx, item_keys[static_cast<std::size_t>(i)],
-                           &cached)) {
+    SweepMemo::Result cached;
+    if (memoize && memo->lookup(memo_ctx, key, &cached)) {
       ++ws.memo_exact_hits;
       found = cached.found_fit;
       best_s = std::move(cached.best_s);
@@ -744,14 +727,7 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       found = best_reuse_impl(nest, model, device_, options_, *item.mapping,
                               item.shape, cache, &best_s, &ws, floor,
                               mt_monotone);
-      if (memo != nullptr && !(mt_monotone && std::isfinite(floor))) {
-        SweepMemo::ExactResult fresh;
-        fresh.found_fit = found;
-        fresh.best_s = best_s;
-        const std::string& key = item_keys[static_cast<std::size_t>(i)];
-        memo->store_exact(exact_ctx, key, fresh);
-        if (found) memo->store_hint(hint_ctx, key, best_s);
-      }
+      if (memoize) memo->store(memo_ctx, key, SweepMemo::Result{found, best_s});
     }
     if (!found) return;
     DseCandidate candidate;
@@ -862,80 +838,11 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       const auto& slot = slots[static_cast<std::size_t>(idx)];
       if (slot.has_value()) contributions.push_back(slot->estimated_gops());
     }
-
-    // Hint tier: middle bounds remembered from sweeps over other nests with
-    // the same access structure (H/W-only-differing layers). Each hint is
-    // clamped into this item's candidate grid and fully evaluated, so a
-    // contribution is an achievable throughput of that item; with
-    // max_bram_util <= 1.0 the soft-logic verdict is shape-invariant among
-    // budget-fitting designs, so an accepted hint implies the item's DFS
-    // best is accepted too — the floor stays admissible. Gated on an inert
-    // cancel token: a truncated partial result must not depend on what a
-    // shared cache happened to contain.
-    if (memo != nullptr && options_.cancel.inert() &&
-        options_.max_bram_util <= 1.0) {
-      const std::size_t hint_end = std::min(order.size(), seed_n + 4 * top_k);
-      const std::int64_t bram_budget = static_cast<std::int64_t>(
-          options_.max_bram_util * static_cast<double>(device_.bram_blocks));
-      const std::size_t n = nest.num_loops();
-      std::vector<std::int64_t> hint_s;
-      std::vector<std::int64_t> inner(n, 1);
-      std::vector<std::int64_t> block(n, 0);
-      for (std::size_t r = seed_n; r < hint_end; ++r) {
-        const std::size_t idx = static_cast<std::size_t>(order[r]);
-        hint_s.clear();
-        if (!memo->lookup_hint(hint_ctx, item_keys[idx], &hint_s)) continue;
-        if (hint_s.size() != n) continue;
-        const Phase1Item& item = items[idx];
-        std::fill(inner.begin(), inner.end(), 1);
-        inner[item.mapping->row_loop] = item.shape.rows;
-        inner[item.mapping->col_loop] = item.shape.cols;
-        inner[item.mapping->vec_loop] = item.shape.vec;
-        bool ok = true;
-        for (std::size_t l = 0; l < n; ++l) {
-          const std::int64_t cap = ceil_div(nest.loop(l).trip, inner[l]);
-          std::int64_t s = std::min(hint_s[l], cap);
-          if (s < 1) s = 1;
-          if (options_.pow2_middle) {
-            // Clamp into the pow2 grid: largest power of two <= s, then cap
-            // at the covering bound (the grid's last element).
-            s = std::int64_t{1} << floor_log2(s);
-            const std::int64_t covering =
-                caches[0].pow2_covering(cap).back();
-            if (s > covering) s = covering;
-          }
-          if (s < 1 || s > std::max<std::int64_t>(cap, 1)) {
-            ok = false;
-            break;
-          }
-          hint_s[l] = s;
-          block[l] = s * inner[l];
-        }
-        if (!ok) continue;
-        if (model.bram_only(block, item.shape.num_pes()) > bram_budget) {
-          continue;
-        }
-        DesignPoint hinted(nest, *item.mapping, item.shape, hint_s);
-        const PerfEstimate est = estimate_performance(
-            nest, hinted, device_, dtype_, options_.assumed_freq_mhz);
-        if (options_.enforce_soft_logic) {
-          const ResourceUsage res =
-              model_resources(nest, hinted, device_, dtype_);
-          if (!res.report.fits()) continue;
-        }
-        contributions.push_back(est.throughput_gops);
-        ++seed_stats.memo_hint_seeds;
-      }
-    }
-
-    if (contributions.size() >= top_k) {
-      std::nth_element(contributions.begin(),
-                       contributions.begin() + static_cast<std::ptrdiff_t>(top_k - 1),
-                       contributions.end(), std::greater<double>());
-      floor_gops = contributions[top_k - 1];
+    // The walk stops at top_k contributions, so the K-th best is the least.
+    if (contributions.size() == top_k) {
+      floor_gops = *std::min_element(contributions.begin(), contributions.end());
     }
     seed_span.arg("seeded", static_cast<std::int64_t>(seed_n));
-    seed_span.arg("hints", seed_stats.memo_hint_seeds);
   }
 
   pool.for_each(
@@ -991,7 +898,6 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
     st->reuse_subtrees_pruned += ws.reuse_subtrees_pruned;
     st->reuse_bound_evals += ws.reuse_bound_evals;
     st->memo_exact_hits += ws.memo_exact_hits;
-    st->memo_hint_seeds += ws.memo_hint_seeds;
     st->cancelled = st->cancelled || ws.cancelled;
   }
   for (const double b : busy) st->phase1_cpu_seconds += b;

@@ -76,10 +76,9 @@ struct DseOptions {
 
   /// Optional cross-request sweep memo (serve/sweep_cache.h). Like `cancel`
   /// and `jobs` this is execution policy, not request identity: a memo hit
-  /// never changes a response byte (exact tier replays the identical DFS
-  /// result; hint tier only tightens the branch-and-bound floor with
-  /// achievable candidates, and only on tokens that cannot fire). Excluded
-  /// from canonical_request_text(). Not owned; may be null.
+  /// replays the identical DFS result, so it never changes a response byte
+  /// or a prune decision. Excluded from canonical_request_text(). Not
+  /// owned; may be null.
   SweepMemo* sweep_memo = nullptr;
 
   /// Phase-1 work-item execution window [shard_begin, shard_end), in the
@@ -171,11 +170,9 @@ struct DseStats {
   /// Corner evaluations spent deciding subtree skips (the overhead side of
   /// `reuse_subtrees_pruned`; not part of `reuse_evaluated`).
   std::int64_t reuse_bound_evals = 0;
-  /// Sweep-memo exact-tier hits: items answered from a previous sweep's
-  /// DFS result instead of re-running it (0 without a sweep_memo).
+  /// Sweep-memo hits: items answered from a previous sweep's DFS result
+  /// instead of re-running it (0 without a sweep_memo).
   std::int64_t memo_exact_hits = 0;
-  /// Sweep-memo hint-tier floor contributions accepted (0 without a memo).
-  std::int64_t memo_hint_seeds = 0;
   /// auto_relax_util floor halvings taken before a design appeared.
   std::int64_t util_relaxations = 0;
   /// The c_s that actually produced the result (after any relaxation);
@@ -266,17 +263,14 @@ class DesignSpaceExplorer {
 };
 
 /// Canonical text of everything the phase-1 reuse DFS reads for one sweep:
-/// loop structure (trips included iff `include_trips`), access coefficient
-/// matrices and per-access byte widths, the device's BRAM/bandwidth
-/// parameters, and the sweep options the DFS consumes (assumed clock, pow2
-/// restriction, BRAM ceiling — min_dsp_util is deliberately excluded: the
-/// DFS never reads it, so auto-relax retries share entries). Two work items
-/// with equal context and item texts are the same computation; the sweep
-/// memo (core/sweep_memo.h) keys its exact tier on the trip-bearing form and
-/// its hint tier on the trip-free form.
+/// loop trip counts, access coefficient matrices and per-access byte widths,
+/// the device's BRAM/bandwidth parameters, and the sweep options the DFS
+/// consumes (assumed clock, pow2 restriction, BRAM ceiling — min_dsp_util
+/// is deliberately excluded: the DFS never reads it, so auto-relax retries
+/// share entries). Two work items with equal context and item texts are the
+/// same computation; the sweep memo (core/sweep_memo.h) keys on the pair.
 std::string sweep_context_text(const LoopNest& nest, const FpgaDevice& device,
-                               DataType dtype, const DseOptions& options,
-                               bool include_trips);
+                               DataType dtype, const DseOptions& options);
 
 /// All PE-array shapes for `mapping` that pass the capacity and Eq. 12
 /// utilization constraints. `considered` (optional) counts pre-prune shapes.

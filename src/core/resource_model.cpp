@@ -59,6 +59,22 @@ ResourceUsage model_resources(const LoopNest& nest, const DesignPoint& design,
   return usage;
 }
 
+ResourceUsage worst_case_resources(const std::vector<LoopNest>& nests,
+                                   const DesignPoint& design,
+                                   const FpgaDevice& device, DataType dtype) {
+  assert(!nests.empty());
+  std::size_t worst = 0;
+  std::int64_t max_bram = 0;
+  for (std::size_t i = 0; i < nests.size(); ++i) {
+    const std::int64_t bram = bram_usage_blocks(nests[i], design, device, dtype);
+    if (bram > max_bram) {
+      max_bram = bram;
+      worst = i;
+    }
+  }
+  return model_resources(nests[worst], design, device, dtype);
+}
+
 std::int64_t bram_usage_blocks(const LoopNest& nest, const DesignPoint& design,
                                const FpgaDevice& device, DataType dtype) {
   const TilingSpec& tiling = design.tiling();

@@ -51,6 +51,15 @@ struct ResourceUsage {
 ResourceUsage model_resources(const LoopNest& nest, const DesignPoint& design,
                               const FpgaDevice& device, DataType dtype);
 
+/// The resource report of one array that runs every nest in `nests`:
+/// model_resources on the first nest with the most BRAM. Buffer footprints
+/// depend on the nest (the input tile grows with the stride), so an array
+/// shared across layers is sized, and clocked, by its worst-case layer.
+/// `nests` must be non-empty.
+ResourceUsage worst_case_resources(const std::vector<LoopNest>& nests,
+                                   const DesignPoint& design,
+                                   const FpgaDevice& device, DataType dtype);
+
 /// Just B(s,t) (Eq. 6) — the hot path of the DSE inner loop.
 std::int64_t bram_usage_blocks(const LoopNest& nest, const DesignPoint& design,
                                const FpgaDevice& device, DataType dtype);

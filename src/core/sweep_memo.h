@@ -5,24 +5,18 @@
 // read: loop-nest trip counts, access coefficient matrices, bytes per
 // element, the device's BRAM/bandwidth constants, the assumed clock, and
 // the pow2-middle / max-BRAM-util options. enumerate_phase1 renders that
-// context to a canonical text (see sweep_context_text in dse.cpp) and a
-// per-item text, and a SweepMemo implementation may answer two kinds of
-// query against them:
+// context to a canonical text once per sweep (see sweep_context_text in
+// dse.cpp) and an item text for each item it evaluates without a
+// subtree-skipping floor, and asks the memo for the DFS result stored under
+// the pair; only such floor-free results are stored.
 //
-//  * exact tier — the full context *including* trip counts plus the item.
-//    A hit returns the DFS result verbatim (the optimal middle bounds, or
-//    "nothing fits BRAM"), so the item skips its DFS entirely. Because the
-//    key covers every input of the computation, a hit is bit-identical to
-//    re-running it: responses stay a pure function of the request at any
-//    cache state, even for sweeps truncated by a cancel token.
-//
-//  * hint tier — the context *without* trip counts. Layers that differ only
-//    in their H/W (feature-map) dimensions share this key, so the optimal
-//    middle bounds found for one layer seed the branch-and-bound floor of
-//    the next. A hint is advisory: the caller re-evaluates the hinted
-//    bounds on its own nest and uses the (achievable) result only to
-//    tighten pruning — never as the answer — so exactness of the final
-//    top-K is preserved (see docs/MODEL.md, "Dominance pruning").
+// A hit returns the DFS result verbatim (the optimal middle bounds, or
+// "nothing fits BRAM"), so the item skips its DFS entirely. Because the key
+// covers every input of the computation, a hit is bit-identical to
+// re-running it: responses stay a pure function of the request at any
+// cache state, even for sweeps truncated by a cancel token. A memo saves
+// DFS runs and never changes a decision — the branch-and-bound floor comes
+// from the sweep's own seed walk (docs/MODEL.md, "Dominance pruning").
 //
 // Implementations must be thread-safe (the sweep stores from worker
 // threads) and collision-safe (verify key texts, not just hashes — the
@@ -37,28 +31,19 @@ namespace sasynth {
 
 class SweepMemo {
  public:
-  /// Exact-tier payload: the DFS outcome for one work item.
-  struct ExactResult {
+  /// The DFS outcome for one work item.
+  struct Result {
     bool found_fit = false;  ///< false = no middle bounds fit the BRAM budget
     std::vector<std::int64_t> best_s;  ///< optimal middle bounds when found
   };
 
   virtual ~SweepMemo() = default;
 
-  /// Exact tier: returns true and fills `out` when (context, item) was
-  /// stored before. `context` must include trip counts.
-  virtual bool lookup_exact(const std::string& context,
-                            const std::string& item, ExactResult* out) = 0;
-  virtual void store_exact(const std::string& context, const std::string& item,
-                           const ExactResult& result) = 0;
-
-  /// Hint tier: returns true and fills `hint_s` with the middle bounds a
-  /// structurally identical item (same `context` sans trips, same item
-  /// text) solved to on some other nest. Advisory only.
-  virtual bool lookup_hint(const std::string& context, const std::string& item,
-                           std::vector<std::int64_t>* hint_s) = 0;
-  virtual void store_hint(const std::string& context, const std::string& item,
-                          const std::vector<std::int64_t>& best_s) = 0;
+  /// Returns true and fills `out` when (context, item) was stored before.
+  virtual bool lookup(const std::string& context, const std::string& item,
+                      Result* out) = 0;
+  virtual void store(const std::string& context, const std::string& item,
+                     const Result& result) = 0;
 };
 
 }  // namespace sasynth

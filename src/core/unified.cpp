@@ -84,24 +84,19 @@ UnifiedDesign evaluate_unified_design(const Network& net,
   result.design = design;
   result.realized_freq_mhz = freq_mhz;
   double latency_ms = 0.0;
-  std::int64_t max_bram = 0;
-  std::size_t worst_layer = 0;
-  for (std::size_t i = 0; i < net.layers.size(); ++i) {
-    const LoopNest nest = build_conv_nest(net.layers[i]);
+  std::vector<LoopNest> nests;
+  nests.reserve(net.layers.size());
+  for (const ConvLayerDesc& layer : net.layers) {
+    nests.push_back(build_conv_nest(layer));
     LayerPerf lp;
-    lp.layer = net.layers[i].name;
-    lp.perf = estimate_performance(nest, design, device, dtype, freq_mhz);
-    lp.latency_ms = layer_latency_ms(net.layers[i], lp.perf);
+    lp.layer = layer.name;
+    lp.perf =
+        estimate_performance(nests.back(), design, device, dtype, freq_mhz);
+    lp.latency_ms = layer_latency_ms(layer, lp.perf);
     latency_ms += lp.latency_ms;
-    const std::int64_t bram = bram_usage_blocks(nest, design, device, dtype);
-    if (bram > max_bram) {
-      max_bram = bram;
-      worst_layer = i;
-    }
     result.per_layer.push_back(std::move(lp));
   }
-  const LoopNest worst_nest = build_conv_nest(net.layers[worst_layer]);
-  result.resources = model_resources(worst_nest, design, device, dtype);
+  result.resources = worst_case_resources(nests, design, device, dtype);
   result.total_latency_ms = latency_ms;
   result.aggregate_gops =
       static_cast<double>(net.total_ops()) / (latency_ms * 1e-3) * 1e-9;
@@ -374,9 +369,13 @@ UnifiedDesign select_unified_design(const Network& net,
   // Stage 3 (phase 2 of Fig. 5): pseudo-P&R the top-K, pick best realized.
   const std::size_t keep = std::min<std::size_t>(
       candidates.size(), static_cast<std::size_t>(dse.top_k));
-  const double freq = dse.assumed_freq_mhz;
   obs::ScopedSpan phase2_span("unified.phase2", "unified");
   phase2_span.arg("candidates", static_cast<std::int64_t>(keep));
+  std::vector<LoopNest> nests;
+  nests.reserve(net.layers.size());
+  for (const ConvLayerDesc& layer : net.layers) {
+    nests.push_back(build_conv_nest(layer));
+  }
   UnifiedDesign best_result;
   for (std::size_t i = 0; i < keep; ++i) {
     if (cancel.cancelled()) {
@@ -385,11 +384,11 @@ UnifiedDesign select_unified_design(const Network& net,
     }
     const DesignPoint& design = candidates[i].design;
     // Resource report from the worst-case layer for the frequency model.
-    UnifiedDesign eval =
-        evaluate_unified_design(net, design, device, dtype, freq);
-    if (dse.enforce_soft_logic && !eval.resources.report.fits()) continue;
+    const ResourceUsage resources =
+        worst_case_resources(nests, design, device, dtype);
+    if (dse.enforce_soft_logic && !resources.report.fits()) continue;
     const double realized = pseudo_pnr_frequency_mhz(
-        device, eval.resources.report, design.signature());
+        device, resources.report, design.signature());
     UnifiedDesign realized_eval =
         evaluate_unified_design(net, design, device, dtype, realized);
     if (!best_result.valid ||

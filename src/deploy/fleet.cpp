@@ -26,6 +26,19 @@ struct PoolEntry {
   double realized_freq_mhz = 0.0;
 };
 
+/// Every conv nest of the workload, in workload order. A fleet design may be
+/// assigned any network, so it is sized and clocked over all of them
+/// (worst_case_resources).
+std::vector<LoopNest> workload_nests(const std::vector<WorkloadEntry>& workload) {
+  std::vector<LoopNest> nests;
+  for (const WorkloadEntry& w : workload) {
+    for (const ConvLayerDesc& layer : w.net.layers) {
+      nests.push_back(build_conv_nest(layer));
+    }
+  }
+  return nests;
+}
+
 }  // namespace
 
 FleetResult select_fleet(const std::vector<WorkloadEntry>& workload,
@@ -64,7 +77,10 @@ FleetResult select_fleet(const std::vector<WorkloadEntry>& workload,
 
   // Candidate pool: unified stage-1/2 survivors of the merged workload (the
   // compromise designs) plus each network individually (the specialists),
-  // trimmed to top_k per source, deduplicated by signature in that order.
+  // trimmed to top_k per source, deduplicated by signature in that order. A
+  // source whose layer list repeats an earlier source's is skipped: it would
+  // enumerate the same candidates again (a one-network workload is its own
+  // merged mix).
   std::vector<UnifiedCandidate> pool_candidates;
   {
     obs::ScopedSpan span("deploy.candidates", "deploy");
@@ -76,7 +92,12 @@ FleetResult select_fleet(const std::vector<WorkloadEntry>& workload,
     }
     std::vector<const Network*> sources;
     sources.push_back(&merged);
-    for (const WorkloadEntry& w : workload) sources.push_back(&w.net);
+    for (const WorkloadEntry& w : workload) {
+      const bool repeat = std::any_of(
+          sources.begin(), sources.end(),
+          [&](const Network* s) { return s->layers == w.net.layers; });
+      if (!repeat) sources.push_back(&w.net);
+    }
 
     const std::size_t per_source =
         static_cast<std::size_t>(std::max(1, options.unified.dse.top_k));
@@ -100,16 +121,14 @@ FleetResult select_fleet(const std::vector<WorkloadEntry>& workload,
     return result;
   }
 
-  // Realize every candidate on the device; drop the ones that don't fit.
-  // The resource report is nest-independent (fixed block domain), so the
-  // first layer of the first workload network serves as the probe nest.
+  // Realize every candidate on the device, sized over every workload layer;
+  // drop the ones that don't fit.
   std::vector<PoolEntry> pool;
   {
-    const LoopNest probe_nest =
-        build_conv_nest(workload.front().net.layers.front());
+    const std::vector<LoopNest> nests = workload_nests(workload);
     for (UnifiedCandidate& c : pool_candidates) {
       const ResourceUsage usage =
-          model_resources(probe_nest, c.design, device, dtype);
+          worst_case_resources(nests, c.design, device, dtype);
       if (usage.bram_blocks > device.bram_blocks) continue;
       if (options.unified.dse.enforce_soft_logic && !usage.report.fits()) {
         continue;
@@ -240,15 +259,14 @@ FleetResult evaluate_fleet(const std::vector<WorkloadEntry>& workload,
     }
   }
 
-  // Realized clock per design (same probe-nest derivation as the selector:
-  // the resource report is nest-independent).
-  const LoopNest probe_nest =
-      build_conv_nest(workload.front().net.layers.front());
+  // Realized clock per design, sized over every workload layer exactly as
+  // the selector's pool filter sizes it.
+  const std::vector<LoopNest> nests = workload_nests(workload);
   std::vector<double> freqs;
   freqs.reserve(designs.size());
   for (const DesignPoint& design : designs) {
     const ResourceUsage usage =
-        model_resources(probe_nest, design, device, dtype);
+        worst_case_resources(nests, design, device, dtype);
     freqs.push_back(
         pseudo_pnr_frequency_mhz(device, usage.report, design.signature()));
   }

@@ -11,10 +11,12 @@
 //
 // where latency_n(d) folds every layer of network n onto design d
 // (deploy::plan_fold) and evaluates the folded estimate at d's realized
-// pseudo-P&R clock. The candidate pool comes from the unified-selection
-// shortlist machinery (core/unified.cpp): stage-1/2 candidates of the
-// merged workload plus each network individually, deduplicated by design
-// signature in a fixed order.
+// pseudo-P&R clock. Any network may be assigned any design, so each design
+// is sized — and clocked — by its worst-case layer over the whole workload
+// (worst_case_resources). The candidate pool comes from the
+// unified-selection shortlist machinery (core/unified.cpp): stage-1/2
+// candidates of the merged workload plus each network whose layer list no
+// earlier source repeats, deduplicated by design signature in a fixed order.
 //
 // Selection is greedy (the classic 1-1/e approximation), fully
 // deterministic: the latency matrix is evaluated in workload order, ties

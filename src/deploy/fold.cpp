@@ -138,19 +138,24 @@ FixedDesignEval evaluate_fixed_design(const Network& net,
     return eval;
   }
 
-  // The synthesized array is one piece of hardware: its buffers are sized by
-  // the *fixed* design's block domain, which is nest-independent, so any
-  // conv nest of the network yields the same report. Realized frequency
-  // follows the bespoke derivation (worst-case report + design signature).
-  const LoopNest first_nest = build_conv_nest(net.layers.front());
-  eval.resources = model_resources(first_nest, design, device, dtype);
+  // The synthesized array is one piece of hardware, sized for the layer
+  // whose buffers need the most BRAM (the input tile grows with the
+  // stride). Realized frequency follows the bespoke derivation (that
+  // worst-case report + design signature).
+  std::vector<LoopNest> nests;
+  nests.reserve(net.layers.size());
+  for (const ConvLayerDesc& layer : net.layers) {
+    nests.push_back(build_conv_nest(layer));
+  }
+  eval.resources = worst_case_resources(nests, design, device, dtype);
   eval.realized_freq_mhz = pseudo_pnr_frequency_mhz(
       device, eval.resources.report, design.signature());
 
   bool all_feasible = true;
   double latency_ms = 0.0;
-  for (const ConvLayerDesc& layer : net.layers) {
-    const LoopNest nest = build_conv_nest(layer);
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    const ConvLayerDesc& layer = net.layers[i];
+    const LoopNest& nest = nests[i];
     FixedLayerPerf lp;
     lp.layer = layer.name;
     lp.plan = plan_fold(nest, design);

@@ -99,8 +99,9 @@ struct FixedDesignEval {
   std::string summary(const Network& net) const;
 };
 
-/// Evaluates `design` on every layer of `net`: resources of the fixed array,
-/// realized pseudo-P&R frequency, then per-layer folded estimates. A layer
+/// Evaluates `design` on every layer of `net`: resources of the fixed array
+/// (sized by its worst-case layer, worst_case_resources), realized
+/// pseudo-P&R frequency, then per-layer folded estimates. A layer
 /// whose fold plan is infeasible marks the whole evaluation invalid (its
 /// row is still reported). The resource/frequency derivation matches the
 /// bespoke CLI path exactly when `net` is a single layer and `design` its

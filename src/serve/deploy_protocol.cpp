@@ -117,7 +117,10 @@ std::string canonical_deploy_request_text(const DeployRequest& request) {
 
 std::string deploy_cache_entry_text(const std::string& canonical, int index,
                                     int fleet_size) {
-  return canonical + strformat("fleet_design %d/%d\n", index, fleet_size);
+  // `sized=workload`: the fleet was chosen with every design sized over the
+  // whole workload, so no entry written under an earlier rule replays.
+  return canonical +
+         strformat("fleet_design %d/%d sized=workload\n", index, fleet_size);
 }
 
 std::string format_deploy_ok_response(const deploy::FleetResult& result) {

@@ -92,7 +92,8 @@ ParsedDeployRequest parse_deploy_request_block(const std::string& block);
 std::string canonical_deploy_request_text(const DeployRequest& request);
 
 /// Cache key material for the i-th design of a K-design fleet: the
-/// canonical text plus a `fleet_design i/K` discriminator line. The server
+/// canonical text plus a `fleet_design i/K sized=workload` discriminator
+/// line (the sizing rule the fleet was selected under). The server
 /// stores each selected design under its own derived key and only answers
 /// from cache when all K lookups hit.
 std::string deploy_cache_entry_text(const std::string& canonical,

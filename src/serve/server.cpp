@@ -161,8 +161,8 @@ std::string SynthServer::handle(const std::string& request_block,
   ServeRequest request = parsed.request;
   request.dse.cancel = cancel;
   // Like the token: execution policy, invisible to the canonical text. The
-  // DSE consults the sweep cache per work item (exact replay + bound-floor
-  // hints); a warm cache shortens the sweep without touching its result.
+  // DSE replays per-item DFS results from the sweep cache when it can; a
+  // warm cache shortens the sweep without touching its result.
   if (options_.sweep_cache_capacity > 0) {
     request.dse.sweep_memo = &sweep_cache_;
   }
@@ -399,8 +399,6 @@ std::string SynthServer::stats_text() const {
   line("cache_entries", static_cast<long long>(cache_.size()));
   line("sweep_cache_exact_hits", count("sweep_cache_exact_hits_total"));
   line("sweep_cache_exact_misses", count("sweep_cache_exact_misses_total"));
-  line("sweep_cache_hint_hits", count("sweep_cache_hint_hits_total"));
-  line("sweep_cache_hint_misses", count("sweep_cache_hint_misses_total"));
   line("sweep_cache_insertions", count("sweep_cache_insertions_total"));
   line("sweep_cache_evictions", count("sweep_cache_evictions_total"));
   line("sweep_cache_entries", static_cast<long long>(sweep_cache_.size()));

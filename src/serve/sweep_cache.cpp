@@ -9,12 +9,10 @@ namespace {
 
 /// Sweep cache metrics (docs/OBSERVABILITY.md, `sweep_cache_*` family): the
 /// only count of sweep cache events, summed over every SweepCache in the
-/// process. Insertions cover both tiers, refreshes included.
+/// process. Insertions count refreshes too.
 struct SweepCacheMetrics {
-  obs::Counter& exact_hits;
-  obs::Counter& exact_misses;
-  obs::Counter& hint_hits;
-  obs::Counter& hint_misses;
+  obs::Counter& hits;
+  obs::Counter& misses;
   obs::Counter& insertions;
   obs::Counter& evictions;
   obs::Gauge& entries;
@@ -25,8 +23,6 @@ struct SweepCacheMetrics {
       return new SweepCacheMetrics{
           r.counter("sweep_cache_exact_hits_total"),
           r.counter("sweep_cache_exact_misses_total"),
-          r.counter("sweep_cache_hint_hits_total"),
-          r.counter("sweep_cache_hint_misses_total"),
           r.counter("sweep_cache_insertions_total"),
           r.counter("sweep_cache_evictions_total"),
           r.gauge("sweep_cache_entries"),
@@ -36,15 +32,11 @@ struct SweepCacheMetrics {
   }
 };
 
-/// One hash over the full key tuple. The tier byte keeps an exact and a hint
-/// entry for the same texts from aliasing; the unit separator keeps
-/// (context, item) splits unambiguous.
-std::uint64_t key_hash(char tier, const std::string& context,
-                       const std::string& item) {
+/// One hash over the full key pair; the unit separator keeps (context,
+/// item) splits unambiguous.
+std::uint64_t key_hash(const std::string& context, const std::string& item) {
   std::string key;
-  key.reserve(2 + context.size() + 1 + item.size());
-  key.push_back(tier);
-  key.push_back('\x1f');
+  key.reserve(context.size() + 1 + item.size());
   key += context;
   key.push_back('\x1f');
   key += item;
@@ -55,21 +47,10 @@ std::uint64_t key_hash(char tier, const std::string& context,
 
 SweepCache::SweepCache(std::size_t capacity) : capacity_(capacity) {}
 
-SweepCache::Entry* SweepCache::find_locked(char tier, std::uint64_t key,
-                                           const std::string& context,
-                                           const std::string& item) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  Entry& entry = it->second;
-  // Verify the texts, not just the hash: a collision is a miss, never a
-  // wrong answer (same posture as DesignCache's canonical check).
-  if (entry.tier != tier || *entry.context != context || entry.item != item) {
-    return nullptr;
-  }
+void SweepCache::touch_locked(std::uint64_t key, Entry& entry) {
   lru_.erase(entry.lru_pos);
   lru_.push_front(key);
   entry.lru_pos = lru_.begin();
-  return &entry;
 }
 
 std::shared_ptr<const std::string> SweepCache::intern_locked(
@@ -94,36 +75,44 @@ std::shared_ptr<const std::string> SweepCache::intern_locked(
   return held;
 }
 
-void SweepCache::store_locked(char tier, std::uint64_t key,
-                              const std::string& context,
-                              const std::string& item, bool found_fit,
-                              const std::vector<std::int64_t>& best_s) {
-  SweepCacheMetrics::get().insertions.add(1);
+bool SweepCache::lookup(const std::string& context, const std::string& item,
+                        Result* out) {
+  if (capacity_ == 0) return false;
+  const std::uint64_t key = key_hash(context, item);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Refresh in place (also the hash-collision case: latest wins — both
-    // tiers tolerate replacement, the exact tier because the colliding
-    // lookup re-verifies and misses).
-    Entry& entry = it->second;
-    entry.tier = tier;
-    entry.context = intern_locked(context);
-    entry.item = item;
-    entry.found_fit = found_fit;
-    entry.best_s = best_s;
-    lru_.erase(entry.lru_pos);
-    lru_.push_front(key);
-    entry.lru_pos = lru_.begin();
-    return;
+  // Verify the texts, not just the hash: a collision is a miss, never a
+  // wrong answer (same posture as DesignCache's canonical check).
+  if (it == entries_.end() || *it->second.context != context ||
+      it->second.item != item) {
+    SweepCacheMetrics::get().misses.add(1);
+    return false;
   }
-  Entry entry;
-  entry.tier = tier;
+  SweepCacheMetrics::get().hits.add(1);
+  touch_locked(key, it->second);
+  *out = it->second.result;
+  return true;
+}
+
+void SweepCache::store(const std::string& context, const std::string& item,
+                       const Result& result) {
+  if (capacity_ == 0) return;
+  const std::uint64_t key = key_hash(context, item);
+  std::lock_guard<std::mutex> lock(mutex_);
+  SweepCacheMetrics::get().insertions.add(1);
+  auto [it, inserted] = entries_.try_emplace(key);
+  // A refresh rewrites the entry in place — also on a hash collision:
+  // latest wins, and the colliding lookup re-verifies the texts and misses.
+  Entry& entry = it->second;
   entry.context = intern_locked(context);
   entry.item = item;
-  entry.found_fit = found_fit;
-  entry.best_s = best_s;
-  lru_.push_front(key);
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(key, std::move(entry));
+  entry.result = result;
+  if (inserted) {
+    lru_.push_front(key);
+    entry.lru_pos = lru_.begin();
+  } else {
+    touch_locked(key, entry);
+  }
   while (entries_.size() > capacity_) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
@@ -132,56 +121,6 @@ void SweepCache::store_locked(char tier, std::uint64_t key,
   }
   SweepCacheMetrics::get().entries.set(
       static_cast<std::int64_t>(entries_.size()));
-}
-
-bool SweepCache::lookup_exact(const std::string& context,
-                              const std::string& item, ExactResult* out) {
-  if (capacity_ == 0) return false;
-  const std::uint64_t key = key_hash('x', context, item);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = find_locked('x', key, context, item);
-  if (entry == nullptr) {
-    SweepCacheMetrics::get().exact_misses.add(1);
-    return false;
-  }
-  SweepCacheMetrics::get().exact_hits.add(1);
-  out->found_fit = entry->found_fit;
-  out->best_s = entry->best_s;
-  return true;
-}
-
-void SweepCache::store_exact(const std::string& context,
-                             const std::string& item,
-                             const ExactResult& result) {
-  if (capacity_ == 0) return;
-  const std::uint64_t key = key_hash('x', context, item);
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_locked('x', key, context, item, result.found_fit, result.best_s);
-}
-
-bool SweepCache::lookup_hint(const std::string& context,
-                             const std::string& item,
-                             std::vector<std::int64_t>* hint_s) {
-  if (capacity_ == 0) return false;
-  const std::uint64_t key = key_hash('h', context, item);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = find_locked('h', key, context, item);
-  if (entry == nullptr) {
-    SweepCacheMetrics::get().hint_misses.add(1);
-    return false;
-  }
-  SweepCacheMetrics::get().hint_hits.add(1);
-  *hint_s = entry->best_s;
-  return true;
-}
-
-void SweepCache::store_hint(const std::string& context,
-                            const std::string& item,
-                            const std::vector<std::int64_t>& best_s) {
-  if (capacity_ == 0) return;
-  const std::uint64_t key = key_hash('h', context, item);
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_locked('h', key, context, item, /*found_fit=*/true, best_s);
 }
 
 std::size_t SweepCache::size() const {

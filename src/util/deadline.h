@@ -83,13 +83,6 @@ class CancelToken {
   void set_cut_at_item(std::int64_t index);
   bool cut(std::int64_t item_index) const;
 
-  /// True for the default-constructed token, which can never report
-  /// cancelled. Work that is only safe (or only worthwhile) when it is
-  /// guaranteed to run to completion — e.g. the DSE's cross-request
-  /// floor seeding, which must not influence a truncated partial result —
-  /// keys off this.
-  bool inert() const { return state_ == nullptr; }
-
  private:
   struct State {
     std::atomic<bool> cancelled{false};

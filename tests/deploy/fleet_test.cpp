@@ -1,14 +1,18 @@
 // Fleet optimizer: determinism across jobs counts, K semantics, input
-// validation, cooperative cancellation, and the select/evaluate consistency
-// that backs the serving cache's byte-identity guarantee.
+// validation, cooperative cancellation, the select/evaluate consistency
+// that backs the serving cache's byte-identity guarantee, workload-wide
+// design sizing, and one candidate enumeration per distinct layer list.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/unified.h"
 #include "deploy/fleet.h"
 #include "fpga/device.h"
+#include "loopnest/conv_nest.h"
 #include "nn/network.h"
+#include "support/metric_deltas.h"
 #include "util/deadline.h"
 
 namespace sasynth {
@@ -188,6 +192,52 @@ TEST(Fleet, EvaluateReproducesSelectExactly) {
     EXPECT_EQ(fleet.plans[n].aggregate_gops, echoed.plans[n].aggregate_gops);
   }
   EXPECT_EQ(fleet.summary(), echoed.summary());
+}
+
+TEST(Fleet, OneNetworkWorkloadEnumeratesItsPoolOnce) {
+  // A one-network workload is its own merged mix: the selector enumerates
+  // that layer list once, not once as the mix and again as the network.
+  const FpgaDevice device = tiny_test_device();
+  const FleetOptions options = fast_options();
+  const MetricDeltas one_call;
+  ASSERT_FALSE(enumerate_unified_candidates(make_tiny_testnet(), device,
+                                            DataType::kFloat32,
+                                            options.unified)
+                   .empty());
+  const std::int64_t pairs_per_call = one_call("unified_pairs_total");
+  ASSERT_GT(pairs_per_call, 0);
+
+  const MetricDeltas delta;
+  const FleetResult fleet = select_fleet({{make_tiny_testnet(), 1.0}}, device,
+                                         DataType::kFloat32, options);
+  ASSERT_TRUE(fleet.valid) << fleet.error;
+  EXPECT_EQ(delta("unified_pairs_total"), pairs_per_call);
+}
+
+TEST(Fleet, DesignClockIsIndependentOfNetworkOrder) {
+  // AlexNet conv3's DSE winner needs more BRAM on GoogLeNet's stride-2
+  // conv1_7x7 than on AlexNet's (folded, stride-1) conv1: the input tile
+  // grows with the stride. Either network may be assigned the design, so it
+  // is sized — and clocked — over the whole workload, in either order.
+  const Network alexnet = make_alexnet();
+  const Network googlenet = make_googlenet();
+  const ConvLayerDesc* conv3 = alexnet.find_layer("conv3");
+  ASSERT_NE(conv3, nullptr);
+  const DesignPoint design(build_conv_nest(*conv3), SystolicMapping{0, 3, 1},
+                           ArrayShape{7, 13, 16}, {64, 16, 16, 1, 1, 4});
+  ASSERT_EQ(design.signature(), "m0_3_1_t(7,13,16)_s(64,16,16,1,1,4)");
+  const FpgaDevice device = arria10_gt1150();
+  const FleetResult alexnet_first = deploy::evaluate_fleet(
+      {{alexnet, 1.0}, {googlenet, 1.0}}, {design}, device,
+      DataType::kFloat32);
+  const FleetResult googlenet_first = deploy::evaluate_fleet(
+      {{googlenet, 1.0}, {alexnet, 1.0}}, {design}, device,
+      DataType::kFloat32);
+  ASSERT_TRUE(alexnet_first.valid) << alexnet_first.error;
+  ASSERT_TRUE(googlenet_first.valid) << googlenet_first.error;
+  EXPECT_EQ(alexnet_first.realized_freq_mhz, googlenet_first.realized_freq_mhz);
+  EXPECT_EQ(alexnet_first.weighted_latency_ms,
+            googlenet_first.weighted_latency_ms);
 }
 
 TEST(Fleet, EvaluateRejectsAnUncoverableNetwork) {

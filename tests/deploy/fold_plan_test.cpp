@@ -1,6 +1,7 @@
 // Edge cases of the deterministic fold/pad planner: non-dividing trips,
 // 1x1 convs, FC-shaped layers, layers strictly smaller than the array in
-// every dimension, exact fits, and the bespoke-identity guarantee.
+// every dimension, exact fits, and the bespoke-identity guarantee; plus the
+// worst-case-layer sizing of a fixed design (evaluate_fixed_design).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,10 +10,13 @@
 #include "core/dse.h"
 #include "core/mapping.h"
 #include "core/perf_model.h"
+#include "core/resource_model.h"
 #include "deploy/fold.h"
+#include "fpga/freq_model.h"
 #include "loopnest/conv_nest.h"
 #include "loopnest/reuse.h"
 #include "nn/layer.h"
+#include "nn/network.h"
 
 namespace sasynth {
 namespace {
@@ -195,6 +199,33 @@ TEST(FoldPlan, InfeasibleMappingIsRejectedWithAReason) {
   EXPECT_FALSE(plan.feasible);
   EXPECT_NE(plan.error.find("mapping infeasible"), std::string::npos)
       << plan.error;
+}
+
+TEST(FixedDesignEval, SizedByTheWorstCaseLayerWhereverItSits) {
+  // The stride-2 layer's input tile is wider, so its buffers need more
+  // BRAM; the one array must be sized (and clocked) for it even though the
+  // stride-1 layer comes first.
+  Network net;
+  net.name = "strided-second";
+  net.layers.push_back(make_conv("s1", 8, 16, 8, 3));
+  net.layers.push_back(make_conv("s2", 8, 16, 8, 3, /*stride=*/2));
+  const LoopNest first = build_conv_nest(net.layers[0]);
+  const LoopNest second = build_conv_nest(net.layers[1]);
+  const DesignPoint design =
+      make_design(first, ArrayShape{4, 4, 8}, {4, 1, 2, 8, 3, 3});
+  const FpgaDevice device = arria10_gt1150();
+  const ResourceUsage want =
+      model_resources(second, design, device, DataType::kFloat32);
+  ASSERT_GT(want.bram_blocks,
+            model_resources(first, design, device, DataType::kFloat32)
+                .bram_blocks);
+
+  const deploy::FixedDesignEval eval =
+      deploy::evaluate_fixed_design(net, design, device, DataType::kFloat32);
+  EXPECT_EQ(eval.resources.bram_blocks, want.bram_blocks);
+  EXPECT_EQ(eval.resources.report.summary(), want.report.summary());
+  EXPECT_EQ(eval.realized_freq_mhz,
+            pseudo_pnr_frequency_mhz(device, want.report, design.signature()));
 }
 
 }  // namespace

@@ -329,7 +329,6 @@ TEST(SynthServerTest, StatsAndHealthKeySequencesArePinned) {
       "cache_disk_hits", "cache_load_failures", "cache_insertions",
       "cache_evictions", "cache_disk_store_failures", "cache_entries",
       "sweep_cache_exact_hits", "sweep_cache_exact_misses",
-      "sweep_cache_hint_hits", "sweep_cache_hint_misses",
       "sweep_cache_insertions", "sweep_cache_evictions",
       "sweep_cache_entries", "dse_runs", "dse_work_items",
       "queue_depth_high_water", "queue_limit", "jobs", "wall_ms_total",
