@@ -8,7 +8,8 @@
 //   3. every pruning rule as one table row, with the skipped/spent counts
 //      read back from the process-global obs metrics (`.value()` deltas
 //      around the workload, the same counters the daemon exports) rather
-//      than re-derived from DseStats.
+//      than re-derived from DseStats. Exits 1 when a rule's row reads 0:
+//      the workload is chosen so that every rule fires.
 #include <cstdio>
 #include <string>
 
@@ -124,10 +125,14 @@ int main() {
       {"c_s utilization floor (Eq. 12)", "dse_shapes_pruned_util_total",
        nullptr},
       {"pow2 middle bounds", "dse_reuse_pruned_pow2_total", nullptr},
+      {"soft-logic shape check (before the DFS)",
+       "dse_candidates_rejected_soft_logic_total", nullptr},
       {"item bound-and-floor skip", "dse_items_pruned_bound_total",
        "dse_bound_seed_evals_total"},
       {"DFS corner-bound subtree skip", "dse_reuse_subtrees_pruned_total",
        "dse_reuse_bound_evals_total"},
+      {"DFS incumbent subtree skip", "dse_reuse_incumbent_pruned_total",
+       nullptr},
       {"sweep cache replay", "sweep_cache_exact_hits_total", nullptr},
   };
   std::int64_t before_pruned[std::size(rules)];
@@ -171,9 +176,15 @@ int main() {
 
   AsciiTable part3;
   part3.row().cell("rule").cell("events pruned/hit").cell("bound evals spent");
+  int silent_rules = 0;
   for (std::size_t r = 0; r < std::size(rules); ++r) {
     const std::int64_t pruned =
         registry.counter(rules[r].pruned).value() - before_pruned[r];
+    if (pruned == 0) {
+      std::fprintf(stderr, "rule did not fire: %s (%s)\n", rules[r].label,
+                   rules[r].pruned);
+      ++silent_rules;
+    }
     part3.row()
         .cell(rules[r].label)
         .cell(pruned)
@@ -188,6 +199,8 @@ int main() {
       "raising c_s cuts the space further without losing the best design "
       "until it excludes the optimum's utilization band; the Part 3 rows "
       "price each rule from the live obs counters (a bound rule is only "
-      "profitable while `events pruned` dwarfs `bound evals spent`).");
-  return 0;
+      "profitable while `events pruned` dwarfs `bound evals spent`; the two "
+      "DFS subtree rules share one corner evaluation, so the corner-bound "
+      "row's spend covers both).");
+  return silent_rules == 0 ? 0 : 1;
 }

@@ -36,7 +36,8 @@ struct DseMetrics {
   obs::Counter& reuse_pruned_pow2;            ///< pow2 middle-bound rule
   obs::Counter& items_pruned_bound;           ///< branch-and-bound rule
   obs::Counter& bound_seed_evals;             ///< floor-seeding evaluations
-  obs::Counter& reuse_subtrees_pruned;        ///< within-DFS corner-bound rule
+  obs::Counter& reuse_subtrees_pruned;        ///< within-DFS floor rule
+  obs::Counter& reuse_incumbent_pruned;       ///< within-DFS incumbent rule
   obs::Counter& reuse_bound_evals;            ///< corner evaluations spent
   obs::Counter& reuse_evaluated;
   obs::Counter& reuse_rejected_bram;
@@ -60,6 +61,7 @@ struct DseMetrics {
           r.counter("dse_items_pruned_bound_total"),
           r.counter("dse_bound_seed_evals_total"),
           r.counter("dse_reuse_subtrees_pruned_total"),
+          r.counter("dse_reuse_incumbent_pruned_total"),
           r.counter("dse_reuse_bound_evals_total"),
           r.counter("dse_reuse_evaluated_total"),
           r.counter("dse_reuse_rejected_bram_total"),
@@ -97,6 +99,8 @@ void publish_phase1_run(const DseStats& before, const DseStats& after,
                          before.bound_seed_evaluated);
   m.reuse_subtrees_pruned.add(after.reuse_subtrees_pruned -
                               before.reuse_subtrees_pruned);
+  m.reuse_incumbent_pruned.add(after.reuse_incumbent_pruned -
+                               before.reuse_incumbent_pruned);
   m.reuse_bound_evals.add(after.reuse_bound_evals - before.reuse_bound_evals);
   m.reuse_evaluated.add(after.reuse_evaluated - before.reuse_evaluated);
   m.reuse_rejected_bram.add(after.reuse_bram_rejected -
@@ -303,7 +307,9 @@ struct Phase1Item {
 /// phase 1. The LeanModel and candidate cache are hoisted by the caller so
 /// the sweep constructs neither per work item. Writes the winning middle
 /// bounds to `out_s` (the caller builds the DesignPoint, and the sweep memo
-/// stores the raw bounds).
+/// stores the raw bounds). `mt_monotone` arms the corner-bound rules: the
+/// floor rule when `floor_gops` is finite, the incumbent rule under
+/// `options.bound_prune`.
 bool best_reuse_impl(const LoopNest& nest, const LeanModel& model,
                      const FpgaDevice& device, const DseOptions& options,
                      const SystolicMapping& mapping, const ArrayShape& shape,
@@ -350,19 +356,26 @@ bool best_reuse_impl(const LoopNest& nest, const LeanModel& model,
   std::int64_t bram_rejected = 0;
   std::int64_t bound_evals = 0;
   std::int64_t subtrees_pruned = 0;
+  std::int64_t incumbent_pruned = 0;
 
-  // Corner-bound subtree skip. With a finite floor and a stride-1 access
-  // structure, MT — and therefore min(PT, MT) — is monotone non-decreasing
-  // in every middle bound, so the throughput of a subtree's maximal corner
-  // (current prefix, every remaining loop at its largest candidate)
-  // upper-bounds every leaf beneath it. A corner strictly below the floor
-  // (with margin covering both the FP rounding of the corner evaluation and
-  // the 1e-12 tie window of the best-leaf selection) proves no leaf in the
-  // subtree can reach the top-K floor or tie with a leaf that does, so the
-  // subtree is skipped. The reported best may then understate an item whose
-  // true best lies below the floor — such items can never enter the top-K,
-  // which stays bit-identical to the exhaustive sweep (docs/MODEL.md).
+  // Corner-bound subtree skips. With a stride-1 access structure, MT — and
+  // therefore min(PT, MT) — is monotone non-decreasing in every middle
+  // bound, so the throughput of a subtree's maximal corner (current prefix,
+  // every remaining loop at its largest candidate) upper-bounds every leaf
+  // beneath it. The margin covers both the FP rounding of the corner
+  // evaluation and the 1e-12 tie window of the best-leaf selection
+  // (docs/MODEL.md, "Dominance pruning"). Two rules read the same corner:
+  //  - floor: a corner below a finite top-K floor proves no leaf in the
+  //    subtree can reach the floor or tie with a leaf that does. The
+  //    reported best may then understate an item whose true best lies below
+  //    the floor — such items can never enter the top-K.
+  //  - incumbent: a corner below the item's best leaf so far proves no leaf
+  //    in the subtree passes the `better` test below, so the incumbent, and
+  //    therefore the DFS result, is the one the full subtree would leave.
+  //    The result stays exact. Armed only under bound_prune, so
+  //    `bound_prune 0` keeps the exhaustive DFS as the oracle.
   const bool floor_skip = mt_monotone && std::isfinite(floor_gops);
+  const bool incumbent_skip = mt_monotone && options.bound_prune;
 
   // DFS over middle bounds. BRAM is monotone non-decreasing in every s_l, so
   // once a prefix with all-minimal suffix exceeds the budget, every larger
@@ -370,17 +383,24 @@ bool best_reuse_impl(const LoopNest& nest, const LeanModel& model,
   std::vector<std::int64_t> current(n, 1);
   auto dfs = [&](auto&& self, std::size_t depth) -> void {
     // Depth 0 is covered by the caller's per-item bound (same corner).
-    if (floor_skip && depth > 0 && depth < n) {
+    const bool has_incumbent = incumbent_skip && !best_s.empty();
+    if ((floor_skip || has_incumbent) && depth > 0 && depth < n) {
       for (std::size_t l = 0; l < n; ++l) {
         block[l] = (l < depth ? current[l] : candidates[l]->back()) * inner[l];
       }
       const LeanModel::Eval corner =
           model.evaluate(block, eff, lanes, num_pes);
       ++bound_evals;
-      if (corner.bram_blocks != std::numeric_limits<std::int64_t>::max() &&
-          corner.throughput_gops * (1.0 + 1e-9) + 1e-12 < floor_gops) {
-        ++subtrees_pruned;
-        return;
+      if (corner.bram_blocks != std::numeric_limits<std::int64_t>::max()) {
+        const double corner_hi = corner.throughput_gops * (1.0 + 1e-9) + 1e-12;
+        if (floor_skip && corner_hi < floor_gops) {
+          ++subtrees_pruned;
+          return;
+        }
+        if (has_incumbent && corner_hi < best_gops) {
+          ++incumbent_pruned;
+          return;
+        }
       }
     }
     if (depth == n) {
@@ -429,6 +449,7 @@ bool best_reuse_impl(const LoopNest& nest, const LeanModel& model,
     stats->reuse_bram_rejected += bram_rejected;
     stats->reuse_bound_evals += bound_evals;
     stats->reuse_subtrees_pruned += subtrees_pruned;
+    stats->reuse_incumbent_pruned += incumbent_pruned;
   }
   if (best_s.empty()) return false;
   *out_s = std::move(best_s);
@@ -503,10 +524,13 @@ std::string DseStats::summary() const {
                      static_cast<long long>(items_pruned_bound),
                      static_cast<long long>(bound_seed_evaluated));
   }
-  if (reuse_subtrees_pruned > 0) {
-    out += strformat("; corner bound skipped %lld subtrees (%lld bound evals)",
-                     static_cast<long long>(reuse_subtrees_pruned),
-                     static_cast<long long>(reuse_bound_evals));
+  if (reuse_subtrees_pruned > 0 || reuse_incumbent_pruned > 0) {
+    out += strformat(
+        "; corner bound skipped %lld subtrees below the floor, %lld below the "
+        "incumbent (%lld bound evals)",
+        static_cast<long long>(reuse_subtrees_pruned),
+        static_cast<long long>(reuse_incumbent_pruned),
+        static_cast<long long>(reuse_bound_evals));
   }
   if (memo_exact_hits > 0) {
     out += strformat("; sweep memo %lld exact hits",
@@ -702,16 +726,30 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       memo != nullptr ? sweep_context_text(nest, device_, dtype_, options_)
                       : std::string();
 
-  // Resolves one work item into its slot: sweep memo first, then the reuse
-  // DFS. A finite `floor` arms the corner-bound subtree skip inside the
-  // DFS; the result may then understate an item whose true best lies below
-  // the floor. The memo therefore answers and stores only floor-free
+  // Resolves one work item into its slot: the shape's soft-logic check,
+  // then the sweep memo, then the reuse DFS. DSP, LUT and FF use are
+  // functions of the shape and data type alone, so a shape that overflows
+  // them is rejected here, before its DFS — the same decision the full
+  // fits() below would make afterwards. BRAM depends on the middle bounds
+  // (and max_bram_util may exceed 1), so that half stays after the DFS. A
+  // finite `floor` arms the corner-bound subtree skip inside the DFS; the
+  // result may then understate an item whose true best lies below the
+  // floor. The memo therefore answers and stores only floor-free
   // evaluations, whose results are exact: a hit replays what the DFS would
   // compute, so a warm memo never changes a slot, a stat the sweep prunes
   // by, or a floor — only the time to reach them.
   auto evaluate_item = [&](std::int64_t i, MiddleCandidateCache& cache,
                            DseStats& ws, double floor) {
     const Phase1Item& item = items[static_cast<std::size_t>(i)];
+    if (options_.enforce_soft_logic &&
+        !estimate_resources(SynthInput{item.shape.rows, item.shape.cols,
+                                       item.shape.vec, /*bram_blocks=*/0,
+                                       dtype_},
+                            device_)
+             .fits()) {
+      ++ws.soft_logic_rejected;
+      return;
+    }
     const bool memoize =
         memo != nullptr && !(mt_monotone && std::isfinite(floor));
     const std::string key =
@@ -843,6 +881,8 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       floor_gops = *std::min_element(contributions.begin(), contributions.end());
     }
     seed_span.arg("seeded", static_cast<std::int64_t>(seed_n));
+    // The seed walk is busy time too, on the calling thread.
+    st->phase1_cpu_seconds += seed_span.elapsed_seconds();
   }
 
   pool.for_each(
@@ -896,6 +936,7 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
     st->items_pruned_bound += ws.items_pruned_bound;
     st->bound_seed_evaluated += ws.bound_seed_evaluated;
     st->reuse_subtrees_pruned += ws.reuse_subtrees_pruned;
+    st->reuse_incumbent_pruned += ws.reuse_incumbent_pruned;
     st->reuse_bound_evals += ws.reuse_bound_evals;
     st->memo_exact_hits += ws.memo_exact_hits;
     st->cancelled = st->cancelled || ws.cancelled;

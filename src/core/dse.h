@@ -145,7 +145,11 @@ struct DseStats {
   std::int64_t reuse_evaluated = 0;      ///< s-vectors actually evaluated
   /// Reuse strategies whose leaf evaluation exceeded the BRAM budget.
   std::int64_t reuse_bram_rejected = 0;
-  /// Phase-1 candidates dropped by the soft-logic (LUT/FF) fit check.
+  /// Phase-1 work items dropped by the soft-logic fit check: shapes whose
+  /// DSP, LUT or FF use exceeds the device (checked before the reuse DFS —
+  /// the three depend on the shape and data type alone), plus candidates
+  /// whose BRAM use exceeds the device after it (possible only with
+  /// max_bram_util > 1).
   std::int64_t soft_logic_rejected = 0;
   /// Size of the unpruned (all-integer s) reuse space for the surviving
   /// shapes — computed analytically, not enumerated.
@@ -167,8 +171,14 @@ struct DseStats {
   /// where MT is monotone non-decreasing in every middle bound;
   /// docs/MODEL.md, "Dominance pruning").
   std::int64_t reuse_subtrees_pruned = 0;
+  /// Reuse-DFS subtrees skipped because the throughput of their maximal
+  /// corner fell below the item's own best leaf so far (same stride-1
+  /// precondition; only under bound_prune). Exact: the item's result is the
+  /// one the full DFS returns.
+  std::int64_t reuse_incumbent_pruned = 0;
   /// Corner evaluations spent deciding subtree skips (the overhead side of
-  /// `reuse_subtrees_pruned`; not part of `reuse_evaluated`).
+  /// `reuse_subtrees_pruned` and `reuse_incumbent_pruned`; not part of
+  /// `reuse_evaluated`).
   std::int64_t reuse_bound_evals = 0;
   /// Sweep-memo hits: items answered from a previous sweep's DFS result
   /// instead of re-running it (0 without a sweep_memo).
@@ -185,8 +195,10 @@ struct DseStats {
   int jobs_used = 0;
   double phase1_seconds = 0.0;      ///< wall time
   double phase2_seconds = 0.0;      ///< wall time
-  /// Summed per-worker busy time — phase1_cpu_seconds / phase1_seconds
-  /// approximates the realized parallel speedup.
+  /// Busy time of phase 1: the serial seed walk on the calling thread plus
+  /// the summed per-worker busy time of the parallel sweep.
+  /// phase1_cpu_seconds / phase1_seconds approximates the realized parallel
+  /// speedup.
   double phase1_cpu_seconds = 0.0;
   double phase2_cpu_seconds = 0.0;
 

@@ -93,6 +93,25 @@ TEST(DseParallelTest, Phase1FullDumpIdenticalAcrossJobs) {
   expect_counters_equal(stats4, stats1, "full dump");
 }
 
+TEST(DseParallelTest, Phase1CpuSecondsCountsTheSeedWalk) {
+  // At one job the seed walk and the sweep both run on the calling thread,
+  // so nearly all of phase 1's wall time is busy time. The serial seed walk
+  // is part of it: a busy timer that covered only the parallel sweep's
+  // shards would report a small fraction of the wall time here.
+  const Network net = make_alexnet();
+  const ConvLayerDesc* conv3 = net.find_layer("conv3");
+  ASSERT_NE(conv3, nullptr);
+  DseOptions options;
+  options.jobs = 1;
+  DseStats stats;
+  const std::vector<DseCandidate> candidates =
+      DesignSpaceExplorer(arria10_gt1150(), DataType::kFloat32, options)
+          .enumerate_phase1(build_conv_nest(*conv3), &stats);
+  ASSERT_FALSE(candidates.empty());
+  EXPECT_GT(stats.bound_seed_evaluated, 0);
+  EXPECT_GE(stats.phase1_cpu_seconds, 0.7 * stats.phase1_seconds);
+}
+
 TEST(DseParallelTest, AutoRelaxRecordsRelaxationInStats) {
   // A 2x2x2 layer can never reach 80% of an Arria 10's DSPs: c_s=0.80 finds
   // nothing, floor-halving must still produce a design, and the stats must

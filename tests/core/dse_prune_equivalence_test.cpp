@@ -121,6 +121,56 @@ TEST(DsePruneEquivalenceTest, SeedWalkFormsFloorPastInfeasibleHead) {
   EXPECT_GT(stats.items_pruned_bound, 0);
 }
 
+TEST(DsePruneEquivalenceTest, TopKIdenticalOnThreeChannelFirstLayer) {
+  // VGG-16 conv1_1: with three input channels most shapes that reach the
+  // Eq. 12 floor are wide, PE-heavy arrays that overflow the device's soft
+  // logic, so the shape check rejects them before their reuse DFS; the
+  // rest run long DFS walks where the incumbent rule skips subtrees. Both
+  // rules must leave the top-K bit-identical to the exhaustive sweep
+  // (`bound_prune 0`, run at jobs 4 to keep the suite fast).
+  const LoopNest nest = build_conv_nest(make_conv("conv1_1", 3, 64, 224, 3));
+  DseStats ex_stats;
+  const std::vector<DseCandidate> exhaustive =
+      run_phase1(nest, /*prune=*/false, /*jobs=*/4, &ex_stats);
+  ASSERT_FALSE(exhaustive.empty());
+  EXPECT_EQ(ex_stats.reuse_incumbent_pruned, 0);
+  for (const int jobs : {1, 2, 4}) {
+    const std::string label = "conv1_1 jobs=" + std::to_string(jobs);
+    DseStats pr_stats;
+    const std::vector<DseCandidate> pruned =
+        run_phase1(nest, /*prune=*/true, jobs, &pr_stats);
+    expect_topk_identical(exhaustive, pruned, 14, label);
+    EXPECT_GT(pr_stats.reuse_incumbent_pruned, 0) << label;
+    EXPECT_GT(pr_stats.soft_logic_rejected, 0) << label;
+    EXPECT_LT(pr_stats.reuse_evaluated + pr_stats.reuse_bound_evals,
+              ex_stats.reuse_evaluated)
+        << label;
+  }
+}
+
+TEST(DsePruneEquivalenceTest, SoftLogicShapeCheckRunsBeforeTheDfs) {
+  // A device whose LUTs cannot hold the I/O shell fails every shape on soft
+  // logic. Each work item is then rejected by its shape alone: no reuse
+  // strategy is evaluated, and every item counts one soft-logic rejection.
+  FpgaDevice device = arria10_gt1150();
+  device.logic_cells = 50000;
+  const LoopNest nest = build_conv_nest(alexnet_conv5());
+  for (const bool prune : {true, false}) {
+    DseOptions options;
+    options.jobs = 1;
+    options.bound_prune = prune;
+    DseStats stats;
+    const std::vector<DseCandidate> candidates =
+        DesignSpaceExplorer(device, DataType::kFloat32, options)
+            .enumerate_phase1(nest, &stats);
+    EXPECT_TRUE(candidates.empty()) << "prune=" << prune;
+    EXPECT_GT(stats.work_items, 0) << "prune=" << prune;
+    EXPECT_EQ(stats.reuse_evaluated, 0) << "prune=" << prune;
+    EXPECT_EQ(stats.soft_logic_rejected, stats.work_items)
+        << "prune=" << prune;
+  }
+}
+
 TEST(DsePruneEquivalenceTest, BatchBoundMatchesScalarModelBitExact) {
   // The three PT expressions — the SoA kernel, the scalar bound helper, and
   // estimate_performance's Eq. 8 — must agree to the last bit; the
@@ -199,6 +249,8 @@ TEST(DsePruneEquivalenceTest, FullNetworkSweepWhenRequested) {
               std::to_string(pr_total.bound_seed_evaluated) +
               ", \"reuse_subtrees_pruned\": " +
               std::to_string(pr_total.reuse_subtrees_pruned) +
+              ", \"reuse_incumbent_pruned\": " +
+              std::to_string(pr_total.reuse_incumbent_pruned) +
               ", \"reuse_bound_evals\": " +
               std::to_string(pr_total.reuse_bound_evals) + "}";
     // Pruning must never evaluate more reuse strategies than the
