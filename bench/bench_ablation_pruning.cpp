@@ -108,9 +108,11 @@ int main() {
   // workload is three serve requests on an AlexNet-conv5-sized layer: a cold
   // sweep, an H/W-only-differing sibling (a second cold sweep: the trips
   // differ, so it shares no sweep-cache entry), and a relaxed-c_s retry of
-  // the first (sweep-cache replay). Every count is a before/after delta of
-  // the process-global counters the daemon exports — the bench re-derives
-  // nothing, so a rule that stops firing shows up here as a zero row.
+  // the first (sweep-cache replay); then one cold-deploy-shaped request
+  // (AlexNet under a 4% BRAM budget) for the unified stage-2 rule. Every
+  // count is a before/after delta of the process-global counters the daemon
+  // exports — the bench re-derives nothing, so a rule that stops firing
+  // shows up here as a zero row.
   std::printf("\nPart 3: per-rule pruning ablation (obs counter deltas)\n");
   obs::set_metrics_enabled(true);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -134,6 +136,8 @@ int main() {
       {"DFS incumbent subtree skip", "dse_reuse_incumbent_pruned_total",
        nullptr},
       {"sweep cache replay", "sweep_cache_exact_hits_total", nullptr},
+      {"unified stage-2 incumbent skip", "unified_incumbent_pruned_total",
+       "unified_bound_evals_total"},
   };
   std::int64_t before_pruned[std::size(rules)];
   std::int64_t before_spent[std::size(rules)];
@@ -166,8 +170,16 @@ int main() {
       "device arria10_gt1150\n"
       "option min_util 0.7\n"
       "end\n";
-  for (const char* request : {kCold, kHwSibling, kRelaxed}) {
-    const std::string response = server.handle(request);
+  const char* kDeploy =
+      "sasynth-deploy v1\n"
+      "network alexnet\n"
+      "option jobs 1\n"
+      "option max_bram_util 0.04\n"
+      "end\n";
+  for (const char* request : {kCold, kHwSibling, kRelaxed, kDeploy}) {
+    const std::string response = request == kDeploy
+                                     ? server.handle_deploy(request)
+                                     : server.handle(request);
     if (response.rfind("sasynth-response v1 ok", 0) != 0) {
       std::fprintf(stderr, "serve request failed:\n%s\n", response.c_str());
       return 1;
@@ -200,7 +212,8 @@ int main() {
       "until it excludes the optimum's utilization band; the Part 3 rows "
       "price each rule from the live obs counters (a bound rule is only "
       "profitable while `events pruned` dwarfs `bound evals spent`; the two "
-      "DFS subtree rules share one corner evaluation, so the corner-bound "
-      "row's spend covers both).");
+      "phase-1 DFS subtree rules share one corner evaluation, so the "
+      "corner-bound row's spend covers both; the unified row's spend is its "
+      "corner aggregates, one LeanModel evaluation per layer each).");
   return silent_rules == 0 ? 0 : 1;
 }

@@ -1,0 +1,163 @@
+// Flattened, allocation-free evaluator of Eqs. 1 and 5-10 for the search
+// inner loops: the phase-1 reuse DFS (core/dse.cpp) scores every leaf and
+// every corner bound with it, and the unified stage-2 DFS (core/unified.cpp)
+// scores its corner bounds with it. All model semantics are identical to
+// resource_model/perf_model (tests assert the equivalence); only the
+// floating-point operation order differs, which is why the bounds built on
+// it carry a (1 + 1e-9) margin (docs/MODEL.md, "Dominance pruning").
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/resource_model.h"
+#include "fpga/datatype.h"
+#include "fpga/device.h"
+#include "loopnest/loop_nest.h"
+#include "util/math_util.h"
+
+namespace sasynth {
+
+/// True when every affine coefficient of every access of `nest` is 0 or 1
+/// (every stride-1 conv nest; a strided layer's input access carries the
+/// stride as a coefficient). Then prod(block) / footprint is monotone
+/// non-decreasing in every block dimension, so MT — and min(PT, MT) —
+/// evaluated at a grid corner upper-bounds every block below it: the
+/// precondition of the corner-bound rules in both searches (docs/MODEL.md,
+/// "Dominance pruning").
+bool has_stride1_accesses(const LoopNest& nest);
+
+class LeanModel {
+ public:
+  LeanModel(const LoopNest& nest, const FpgaDevice& device, DataType dtype,
+            double freq_mhz);
+
+  struct Eval {
+    double eff = 0.0;
+    std::int64_t bram_blocks = 0;
+    double pt_gops = 0.0;
+    double mt_gops = 0.0;
+    double throughput_gops = 0.0;
+    double dram_traffic_bytes = 0.0;  ///< total off-chip bytes, all blocks
+  };
+
+  /// DSP efficiency for inner bounds t (Eq. 1; middle loops clip, so only
+  /// the array-shape quantization wastes computation). Constant across the
+  /// reuse search for a fixed shape.
+  double efficiency(const std::vector<std::int64_t>& inner) const {
+    double executed = 1.0;
+    for (std::size_t l = 0; l < num_loops_; ++l) {
+      executed *= static_cast<double>(ceil_div(trips_[l], inner[l]) * inner[l]);
+    }
+    return static_cast<double>(total_iters_) / executed;
+  }
+
+  /// Evaluates the full model at block trips b_l = s_l * t_l with the
+  /// precomputed efficiency. `lanes` is prod(t), `num_pes` is rows*cols.
+  /// A footprint that overflows int64 returns at once with bram_blocks ==
+  /// INT64_MAX and every rate 0.
+  Eval evaluate(const std::vector<std::int64_t>& block, double eff,
+                std::int64_t lanes, std::int64_t num_pes) const {
+    Eval out;
+    out.eff = eff;
+    double macs_per_block = 1.0;
+    double num_blocks = 1.0;
+    for (std::size_t l = 0; l < num_loops_; ++l) {
+      macs_per_block *= static_cast<double>(block[l]);
+      num_blocks *= static_cast<double>(ceil_div(trips_[l], block[l]));
+    }
+
+    // Eq. 5/6.
+    double total_bytes = 0.0;
+    double min_port_gops = 1e300;
+    const double eff_ops_per_block = out.eff * 2.0 * macs_per_block;
+    std::int64_t bram = 0;
+    for (const AccessInfo& info : accesses_) {
+      std::int64_t footprint = 1;
+      for (const auto& coeffs : info.dims) {
+        std::int64_t range = 1;
+        for (std::size_t l = 0; l < num_loops_; ++l) {
+          range += coeffs[l] * (block[l] - 1);
+        }
+        if (!checked_mul(footprint, range, &footprint)) {
+          // A buffer footprint that overflows int64 cannot fit any device;
+          // reject the shape instead of feeding wrapped (possibly negative)
+          // sizes into the BRAM model below.
+          out.bram_blocks = std::numeric_limits<std::int64_t>::max();
+          return out;
+        }
+      }
+      const double bytes =
+          2.0 * static_cast<double>(round_up_pow2(footprint)) *
+          info.bytes_per_elem;
+      bram += static_cast<std::int64_t>(
+                  std::ceil(bytes / static_cast<double>(device_.bram_bytes()))) +
+              device_.bram_const_per_buffer;
+      const double stream_bytes =
+          static_cast<double>(footprint) * info.bytes_per_elem;
+      total_bytes += stream_bytes;
+      min_port_gops = std::min(
+          min_port_gops,
+          eff_ops_per_block * device_.bw_port_gbs / stream_bytes);
+    }
+    bram += static_cast<std::int64_t>(
+        std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
+    out.bram_blocks = bram;
+
+    // Eqs. 7-10.
+    out.pt_gops = out.eff * static_cast<double>(lanes) * 2.0 * freq_ghz_;
+    out.mt_gops = std::min(eff_ops_per_block * device_.bw_total_gbs / total_bytes,
+                           min_port_gops);
+    out.throughput_gops = std::min(out.pt_gops, out.mt_gops);
+    out.dram_traffic_bytes = num_blocks * total_bytes;
+    return out;
+  }
+
+  /// BRAM blocks only, bit-identical to evaluate()'s bram_blocks (same
+  /// operations in the same order). The DFS prefix prune needs nothing
+  /// else, and skipping the throughput/traffic arithmetic roughly halves
+  /// the cost of the interior of the reuse search.
+  std::int64_t bram_only(const std::vector<std::int64_t>& block,
+                         std::int64_t num_pes) const {
+    std::int64_t bram = 0;
+    for (const AccessInfo& info : accesses_) {
+      std::int64_t footprint = 1;
+      for (const auto& coeffs : info.dims) {
+        std::int64_t range = 1;
+        for (std::size_t l = 0; l < num_loops_; ++l) {
+          range += coeffs[l] * (block[l] - 1);
+        }
+        if (!checked_mul(footprint, range, &footprint)) {
+          return std::numeric_limits<std::int64_t>::max();
+        }
+      }
+      const double bytes =
+          2.0 * static_cast<double>(round_up_pow2(footprint)) *
+          info.bytes_per_elem;
+      bram += static_cast<std::int64_t>(
+                  std::ceil(bytes / static_cast<double>(device_.bram_bytes()))) +
+              device_.bram_const_per_buffer;
+    }
+    bram += static_cast<std::int64_t>(
+        std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
+    return bram;
+  }
+
+ private:
+  struct AccessInfo {
+    std::vector<std::vector<std::int64_t>> dims;  ///< coeff per (dim, loop)
+    double bytes_per_elem = 0.0;
+  };
+
+  const FpgaDevice& device_;
+  double freq_ghz_;
+  std::size_t num_loops_ = 0;
+  std::vector<std::int64_t> trips_;
+  std::int64_t total_iters_ = 0;
+  std::vector<AccessInfo> accesses_;
+};
+
+}  // namespace sasynth

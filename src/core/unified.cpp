@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "core/lean_batch.h"
+#include "core/lean_model.h"
 #include "core/mapping.h"
 #include "fpga/freq_model.h"
 #include "loopnest/conv_nest.h"
@@ -74,6 +76,66 @@ AggregateEval evaluate_aggregate(const Network& net,
   return out;
 }
 
+/// Upper bound on the aggregate Gops of every design whose block trips are
+/// at most `block` in every loop, for a fixed (mapping, shape): the stage-2
+/// incumbent rule's corner score. Layer i's throughput is at most U_i =
+/// min(PT, MT(corner)) on a stride-1 nest (MT is monotone in every block
+/// dimension there) and at most U_i = PT otherwise (PT does not depend on
+/// the middle bounds); the aggregate is increasing in every layer's
+/// throughput, so summing in evaluate_aggregate's order bounds every leaf
+/// below the corner in real arithmetic (docs/MODEL.md, "Dominance
+/// pruning"). Returns +infinity, which never prunes, when a layer's corner
+/// footprint overflows or some U_i is not positive.
+double corner_aggregate_gops(const Network& net,
+                             const std::vector<LeanModel>& models,
+                             const std::vector<char>& stride1,
+                             const std::vector<double>& eff,
+                             const std::vector<std::int64_t>& block,
+                             std::int64_t lanes, std::int64_t num_pes) {
+  constexpr double kNoBound = std::numeric_limits<double>::infinity();
+  double latency_ms = 0.0;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const LeanModel::Eval corner =
+        models[i].evaluate(block, eff[i], lanes, num_pes);
+    if (corner.bram_blocks == std::numeric_limits<std::int64_t>::max()) {
+      return kNoBound;
+    }
+    const double upper = stride1[i] ? corner.throughput_gops : corner.pt_gops;
+    if (!(upper > 0.0)) return kNoBound;
+    latency_ms +=
+        static_cast<double>(net.layers[i].total_ops()) / (upper * 1e9) * 1e3;
+  }
+  return static_cast<double>(net.total_ops()) / (latency_ms * 1e-3) * 1e-9;
+}
+
+/// Stage-2 work tallies of one enumerate_unified_candidates call.
+struct SearchCounts {
+  std::int64_t leaves = 0;            ///< designs scored by evaluate_aggregate
+  std::int64_t bound_evals = 0;       ///< corner aggregates computed
+  std::int64_t incumbent_pruned = 0;  ///< subtrees the incumbent rule skipped
+};
+
+/// One enumerate_unified_candidates call into the registry, on every path
+/// that enumerated pairs — a search that finds nothing is the costliest.
+void publish_unified_search(std::size_t pairs, std::size_t shortlist,
+                            const SearchCounts& counts) {
+  if (!obs::metrics_enabled()) return;
+  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  r.counter("unified_pairs_total").add(static_cast<std::int64_t>(pairs));
+  r.counter("unified_shortlist_total").add(static_cast<std::int64_t>(shortlist));
+  r.counter("unified_leaves_total").add(counts.leaves);
+  r.counter("unified_bound_evals_total").add(counts.bound_evals);
+  r.counter("unified_incumbent_pruned_total").add(counts.incumbent_pruned);
+}
+
+/// One select_unified_design call that ran the candidate search.
+void publish_unified_run(bool cancelled) {
+  if (!obs::metrics_enabled()) return;
+  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  r.counter("unified_runs_total").add(1);
+  if (cancelled) r.counter("unified_cancelled_total").add(1);
+}
+
 }  // namespace
 
 UnifiedDesign evaluate_unified_design(const Network& net,
@@ -108,8 +170,7 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     const Network& net, const FpgaDevice& device, DataType dtype,
     const UnifiedOptions& options, bool* cancelled_out) {
   if (cancelled_out != nullptr) *cancelled_out = false;
-  std::vector<UnifiedCandidate> none;
-  if (net.layers.empty()) return none;
+  if (net.layers.empty()) return {};
 
   std::vector<LoopNest> nests;
   nests.reserve(net.layers.size());
@@ -213,12 +274,6 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   scored.erase(std::remove_if(scored.begin(), scored.end(),
                               [](const Scored& s) { return s.score < 0.0; }),
                scored.end());
-  if (scored.empty()) {
-    if (cancelled_out != nullptr) {
-      *cancelled_out = cancelled.load() || cancel.cancelled();
-    }
-    return none;
-  }
   std::sort(scored.begin(), scored.end(),
             [](const Scored& a, const Scored& b) { return a.score > b.score; });
   const std::size_t shortlist = std::min<std::size_t>(
@@ -228,10 +283,28 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   const std::int64_t bram_budget = static_cast<std::int64_t>(
       dse.max_bram_util * static_cast<double>(device.bram_blocks));
 
+  // Incumbent rule (docs/MODEL.md, "Dominance pruning"): once an entry
+  // holds a best leaf, the DFS skips a middle-bound subtree whose corner
+  // aggregate cannot beat it. The corner is scored by one LeanModel per
+  // layer nest, built once here and shared read-only by every worker. Armed
+  // only under bound_prune, so `bound_prune 0` keeps the unbounded DFS as
+  // the oracle.
+  const bool incumbent_skip = dse.bound_prune;
+  std::vector<LeanModel> models;
+  std::vector<char> stride1;
+  if (incumbent_skip) {
+    models.reserve(nests.size());
+    for (const LoopNest& nest : nests) {
+      models.emplace_back(nest, device, dtype, freq);
+      stride1.push_back(has_stride1_accesses(nest) ? 1 : 0);
+    }
+  }
+
   // Stage 2 is the expensive half (a DFS over middle bounds re-evaluating
   // every layer at each leaf); each shortlist entry is independent, so the
   // entries fan out across the pool into per-entry slots.
   std::vector<std::optional<UnifiedCandidate>> entry_best(shortlist);
+  std::vector<SearchCounts> entry_counts(shortlist);
   auto search_entry = [&](std::size_t idx) {
     const SystolicMapping& mapping = scored[idx].mapping;
     const ArrayShape& shape = scored[idx].shape;
@@ -240,6 +313,14 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     inner[mapping.row_loop] = shape.rows;
     inner[mapping.col_loop] = shape.cols;
     inner[mapping.vec_loop] = shape.vec;
+    const std::int64_t lanes = shape.num_lanes();
+    const std::int64_t num_pes = shape.num_pes();
+    std::vector<double> eff(models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      eff[i] = models[i].efficiency(inner);
+    }
+    std::vector<std::int64_t> block(n, 0);
+    SearchCounts counts;
 
     std::vector<std::vector<std::int64_t>> cand(n);
     for (std::size_t l = 0; l < n; ++l) {
@@ -259,9 +340,24 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     UnifiedCandidate best;
     bool found = false;
     auto dfs = [&](auto&& self, std::size_t depth) -> void {
+      // The margin covers the two evaluators' rounding and the 1e-12 tie
+      // window of `better` below: a skipped leaf could not replace `best`.
+      if (incumbent_skip && found && depth > 0 && depth < n) {
+        for (std::size_t l = 0; l < n; ++l) {
+          block[l] = (l < depth ? current[l] : cand[l].back()) * inner[l];
+        }
+        ++counts.bound_evals;
+        const double corner = corner_aggregate_gops(net, models, stride1, eff,
+                                                    block, lanes, num_pes);
+        if (corner * (1.0 + 1e-9) + 1e-12 < best.est_gops) {
+          ++counts.incumbent_pruned;
+          return;
+        }
+      }
       if (depth == n) {
         const DesignPoint design(nests.front(), mapping, shape,
                                  std::vector<std::int64_t>(current));
+        ++counts.leaves;
         const AggregateEval eval = evaluate_aggregate(
             net, nests, design, device, dtype, freq, bram_budget);
         if (!eval.valid) return;
@@ -295,6 +391,7 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     };
     dfs(dfs, 0);
     if (found) entry_best[idx] = std::move(best);
+    entry_counts[idx] = counts;
   };
   {
     obs::ScopedSpan search_span("unified.search", "unified");
@@ -320,16 +417,15 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
 
   std::vector<UnifiedCandidate> candidates;
   candidates.reserve(shortlist);
-  for (std::optional<UnifiedCandidate>& e : entry_best) {
-    if (e.has_value()) candidates.push_back(std::move(*e));
-  }
-  if (candidates.empty()) {
-    if (cancelled_out != nullptr) {
-      *cancelled_out = cancelled.load() || cancel.cancelled();
+  SearchCounts counts;
+  for (std::size_t e = 0; e < shortlist; ++e) {
+    if (entry_best[e].has_value()) {
+      candidates.push_back(std::move(*entry_best[e]));
     }
-    return none;
+    counts.leaves += entry_counts[e].leaves;
+    counts.bound_evals += entry_counts[e].bound_evals;
+    counts.incumbent_pruned += entry_counts[e].incumbent_pruned;
   }
-
   std::sort(candidates.begin(), candidates.end(),
             [](const UnifiedCandidate& a, const UnifiedCandidate& b) {
               if (a.est_gops != b.est_gops) return a.est_gops > b.est_gops;
@@ -338,13 +434,7 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   if (cancelled_out != nullptr) {
     *cancelled_out = cancelled.load() || cancel.cancelled();
   }
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-    r.counter("unified_pairs_total")
-        .add(static_cast<std::int64_t>(pairs.size()));
-    r.counter("unified_shortlist_total")
-        .add(static_cast<std::int64_t>(shortlist));
-  }
+  publish_unified_search(pairs.size(), shortlist, counts);
   return candidates;
 }
 
@@ -363,6 +453,7 @@ UnifiedDesign select_unified_design(const Network& net,
   std::atomic<bool> cancelled{enum_cancelled};
   if (candidates.empty()) {
     failure.cancelled = cancelled.load() || cancel.cancelled();
+    publish_unified_run(failure.cancelled);
     return failure;
   }
 
@@ -397,11 +488,7 @@ UnifiedDesign select_unified_design(const Network& net,
     }
   }
   best_result.cancelled = cancelled.load() || cancel.cancelled();
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-    r.counter("unified_runs_total").add(1);
-    if (best_result.cancelled) r.counter("unified_cancelled_total").add(1);
-  }
+  publish_unified_run(best_result.cancelled);
   return best_result;
 }
 

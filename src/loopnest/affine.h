@@ -29,6 +29,7 @@ class AffineExpr {
 
   std::size_t num_loops() const { return coeffs_.size(); }
   std::int64_t coeff(std::size_t loop) const;
+  const std::vector<std::int64_t>& coeffs() const { return coeffs_; }
   std::int64_t constant() const { return constant_; }
 
   AffineExpr& set_coeff(std::size_t loop, std::int64_t value);

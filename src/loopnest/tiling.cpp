@@ -96,7 +96,24 @@ std::int64_t TilingSpec::cycles_per_block() const {
 RectDomain TilingSpec::block_domain() const { return RectDomain(block_trips()); }
 
 std::int64_t TilingSpec::footprint_elems(const AccessFunction& access) const {
-  return closed_form_footprint(access, block_domain());
+  // closed_form_footprint(access, block_domain()) without materializing the
+  // block trips and the domain: the same int64 range product over the
+  // extents b_l = s_l * t_l (the model calls this once per access per
+  // evaluated design, on the search hot paths).
+  std::int64_t total = 1;
+  for (const AffineExpr& expr : access.indices) {
+    const std::vector<std::int64_t>& coeffs = expr.coeffs();
+    assert(coeffs.size() == num_loops());
+    std::int64_t lo = expr.constant();
+    std::int64_t hi = expr.constant();
+    for (std::size_t l = 0; l < coeffs.size(); ++l) {
+      const std::int64_t span = coeffs[l] * (middle_[l] * inner_[l] - 1);
+      if (span >= 0) hi += span;
+      else lo += span;
+    }
+    total *= hi - lo + 1;
+  }
+  return total;
 }
 
 std::string TilingSpec::validate(const LoopNest& nest) const {

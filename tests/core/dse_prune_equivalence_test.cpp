@@ -1,6 +1,8 @@
 // Differential proof-by-test for the branch-and-bound phase-1 sweep: the
 // pruned search must return the exhaustive sweep's top-K bit for bit —
 // designs, order, and every estimate field — at any worker count. The
+// unified stage-2 search gets the same treatment: its incumbent rule must
+// leave every candidate of the list bit-identical to the unbounded DFS. The
 // default run covers a calibrated layer subset that keeps tier-1 fast; set
 // SASYNTH_PRUNE_EQUIV_FULL=1 to sweep every deduplicated layer of every
 // bundled network (the CI prune-equivalence job does), and
@@ -16,8 +18,10 @@
 #include "core/dse.h"
 #include "core/lean_batch.h"
 #include "core/perf_model.h"
+#include "core/unified.h"
 #include "loopnest/conv_nest.h"
 #include "nn/network.h"
+#include "obs/metrics.h"
 
 namespace sasynth {
 namespace {
@@ -54,6 +58,38 @@ void expect_topk_identical(const std::vector<DseCandidate>& exhaustive,
     EXPECT_EQ(want.estimate.eff, got.estimate.eff) << label << " rank " << i;
     EXPECT_EQ(want.resources.bram_blocks, got.resources.bram_blocks)
         << label << " rank " << i;
+  }
+}
+
+/// Stage 1+2 of the unified selection on arria10_gt1150 at fp32, with the
+/// stage-2 incumbent rule armed (`prune`) or not; `max_bram_util <= 0`
+/// keeps the default budget.
+std::vector<UnifiedCandidate> run_unified(const Network& net, bool prune,
+                                          int jobs, double max_bram_util,
+                                          double freq_mhz) {
+  UnifiedOptions options;
+  options.dse.bound_prune = prune;
+  if (max_bram_util > 0.0) options.dse.max_bram_util = max_bram_util;
+  options.dse.assumed_freq_mhz = freq_mhz;
+  options.jobs = jobs;
+  return enumerate_unified_candidates(net, arria10_gt1150(),
+                                      DataType::kFloat32, options);
+}
+
+/// Every entry of the list, not just its head: exact ties straddle the
+/// callers' top_k cut, so which of them survive depends on the whole list.
+void expect_unified_identical(const std::vector<UnifiedCandidate>& unbounded,
+                              const std::vector<UnifiedCandidate>& pruned,
+                              const std::string& label) {
+  ASSERT_EQ(unbounded.size(), pruned.size()) << label;
+  for (std::size_t i = 0; i < unbounded.size(); ++i) {
+    EXPECT_EQ(unbounded[i].design, pruned[i].design) << label << " entry " << i;
+    EXPECT_EQ(unbounded[i].est_gops, pruned[i].est_gops)
+        << label << " entry " << i;
+    EXPECT_EQ(unbounded[i].dram_traffic_bytes, pruned[i].dram_traffic_bytes)
+        << label << " entry " << i;
+    EXPECT_EQ(unbounded[i].max_bram, pruned[i].max_bram)
+        << label << " entry " << i;
   }
 }
 
@@ -215,10 +251,78 @@ TEST(DsePruneEquivalenceTest, BatchBoundMatchesScalarModelBitExact) {
   }
 }
 
+TEST(DsePruneEquivalenceTest, UnifiedCandidatesIdenticalToUnboundedSearch) {
+  // AlexNet under the cold-deploy budget (max_bram_util 0.04, 363 MHz: four
+  // mapping twins tie exactly at sort positions 13-16, across the top_k
+  // cut) and at the default budget, serial and parallel. The incumbent rule
+  // must leave every entry's design and floats bit-identical to the
+  // unbounded stage-2 DFS (`bound_prune 0`), and it must fire.
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& skips = registry.counter("unified_incumbent_pruned_total");
+  obs::Counter& leaves = registry.counter("unified_leaves_total");
+  const Network net = make_alexnet();
+  struct Budget {
+    const char* label;
+    double max_bram_util;
+    double freq_mhz;
+  };
+  for (const Budget& budget :
+       {Budget{"bram 0.04 @363", 0.04, 363.0}, Budget{"default", 0.0, 280.0}}) {
+    const std::int64_t oracle_leaves0 = leaves.value();
+    const std::vector<UnifiedCandidate> unbounded = run_unified(
+        net, /*prune=*/false, /*jobs=*/3, budget.max_bram_util, budget.freq_mhz);
+    const std::int64_t oracle_leaves = leaves.value() - oracle_leaves0;
+    ASSERT_FALSE(unbounded.empty()) << budget.label;
+    for (const int jobs : {1, 3}) {
+      const std::string label =
+          std::string(budget.label) + " jobs=" + std::to_string(jobs);
+      const std::int64_t skips0 = skips.value();
+      const std::int64_t leaves0 = leaves.value();
+      const std::vector<UnifiedCandidate> pruned = run_unified(
+          net, /*prune=*/true, jobs, budget.max_bram_util, budget.freq_mhz);
+      expect_unified_identical(unbounded, pruned, label);
+      EXPECT_GT(skips.value() - skips0, 0) << label;
+      EXPECT_LT(leaves.value() - leaves0, oracle_leaves) << label;
+    }
+  }
+}
+
+/// Runs the unified search with and without the stage-2 incumbent rule at
+/// the default budget, expects identical lists, and returns the leaf and
+/// rule counts as JSON fields.
+std::string unified_differential(const Network& net, const std::string& label) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& leaves = registry.counter("unified_leaves_total");
+  obs::Counter& skips = registry.counter("unified_incumbent_pruned_total");
+  obs::Counter& bound_evals = registry.counter("unified_bound_evals_total");
+  const std::int64_t leaves0 = leaves.value();
+  const std::vector<UnifiedCandidate> unbounded =
+      run_unified(net, /*prune=*/false, /*jobs=*/0, 0.0, 280.0);
+  const std::int64_t leaves_unbounded = leaves.value() - leaves0;
+  const std::int64_t skips0 = skips.value();
+  const std::int64_t evals0 = bound_evals.value();
+  const std::vector<UnifiedCandidate> pruned =
+      run_unified(net, /*prune=*/true, /*jobs=*/0, 0.0, 280.0);
+  const std::int64_t leaves_pruned =
+      leaves.value() - leaves0 - leaves_unbounded;
+  expect_unified_identical(unbounded, pruned, label + "/unified");
+  EXPECT_LT(leaves_pruned, leaves_unbounded) << label;
+  return "\"unified_leaves_unbounded\": " + std::to_string(leaves_unbounded) +
+         ", \"unified_leaves_pruned\": " + std::to_string(leaves_pruned) +
+         ", \"unified_incumbent_pruned\": " +
+         std::to_string(skips.value() - skips0) +
+         ", \"unified_bound_evals\": " +
+         std::to_string(bound_evals.value() - evals0);
+}
+
 TEST(DsePruneEquivalenceTest, FullNetworkSweepWhenRequested) {
   // Exhaustive differential over every deduplicated layer of every bundled
-  // network. Minutes of work — opt-in via SASYNTH_PRUNE_EQUIV_FULL=1 (the
-  // CI prune-equivalence job runs it under ASan/UBSan).
+  // network, plus the unified candidate lists of VGG-16, GoogLeNet and the
+  // three-network mix. Minutes of work — opt-in via
+  // SASYNTH_PRUNE_EQUIV_FULL=1 (the CI prune-equivalence job runs it under
+  // ASan/UBSan).
   if (std::getenv("SASYNTH_PRUNE_EQUIV_FULL") == nullptr) {
     GTEST_SKIP() << "set SASYNTH_PRUNE_EQUIV_FULL=1 for the full sweep";
   }
@@ -252,13 +356,25 @@ TEST(DsePruneEquivalenceTest, FullNetworkSweepWhenRequested) {
               ", \"reuse_incumbent_pruned\": " +
               std::to_string(pr_total.reuse_incumbent_pruned) +
               ", \"reuse_bound_evals\": " +
-              std::to_string(pr_total.reuse_bound_evals) + "}";
+              std::to_string(pr_total.reuse_bound_evals);
     // Pruning must never evaluate more reuse strategies than the
     // exhaustive sweep, even counting the corner-bound overhead.
     EXPECT_LT(pr_total.reuse_evaluated + pr_total.reuse_bound_evals,
               ex_total.reuse_evaluated)
         << name;
+    // The whole network's unified candidate list against the unbounded
+    // stage-2 DFS (AlexNet's list is covered in tier-1 above).
+    if (std::string(name) != "alexnet") {
+      report += ", " + unified_differential(net, name);
+    }
+    report += "}";
   }
+  // The three-network mix a fleet deploy enumerates first.
+  Network mix;
+  for (const Network& net : {make_alexnet(), make_vgg16(), make_googlenet()}) {
+    mix.layers.insert(mix.layers.end(), net.layers.begin(), net.layers.end());
+  }
+  report += ",\n  \"mix\": {" + unified_differential(mix, "mix") + "}";
   if (const char* path = std::getenv("SASYNTH_PRUNE_REPORT")) {
     std::ofstream out(path);
     out << "{\n" << report << "\n}\n";

@@ -4,6 +4,7 @@
 
 #include "loopnest/conv_nest.h"
 #include "nn/network.h"
+#include "support/metric_deltas.h"
 
 namespace sasynth {
 namespace {
@@ -134,6 +135,29 @@ TEST(SelectUnified, EmptyNetworkInvalid) {
   const UnifiedDesign result = select_unified_design(
       empty, tiny_test_device(), DataType::kFloat32, fast_unified_options());
   EXPECT_FALSE(result.valid);
+}
+
+TEST(SelectUnified, CountersIncludeSearchesThatFindNothing) {
+  // A BRAM budget below every design's buffers: stage 1 scores every pair
+  // and stage 2 searches every shortlist entry, yet no candidate survives.
+  // That work is counted like any other search's.
+  const Network net = make_tiny_testnet();
+  UnifiedOptions options = fast_unified_options();
+  options.dse.max_bram_util = 1e-6;
+  const MetricDeltas search;
+  EXPECT_TRUE(enumerate_unified_candidates(net, tiny_test_device(),
+                                           DataType::kFloat32, options)
+                  .empty());
+  const std::int64_t pairs = search("unified_pairs_total");
+  EXPECT_GT(pairs, 0);
+  EXPECT_GT(search("unified_shortlist_total"), 0);
+
+  const MetricDeltas select;
+  EXPECT_FALSE(select_unified_design(net, tiny_test_device(),
+                                     DataType::kFloat32, options)
+                   .valid);
+  EXPECT_EQ(select("unified_runs_total"), 1);
+  EXPECT_EQ(select("unified_pairs_total"), pairs);
 }
 
 TEST(SelectUnified, SummaryListsLayers) {

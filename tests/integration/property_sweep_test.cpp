@@ -48,11 +48,15 @@ TEST_P(SystolicSweep, AllInvariantsHold) {
   Rng rng(fnv1a64(std::string(param.name)));
   const ConvData data = make_random_conv_data(param.layer, rng);
 
-  // Invariant 3: footprints.
+  // Invariant 3: footprints — the closed form against exact enumeration,
+  // and the tiling's allocation-free footprint against the closed form.
   const RectDomain block = design.tiling().block_domain();
   for (const ArrayAccess& access : nest.accesses()) {
     EXPECT_EQ(closed_form_footprint(access.access, block),
               exact_footprint(access.access, block))
+        << access.access.array;
+    EXPECT_EQ(design.tiling().footprint_elems(access.access),
+              closed_form_footprint(access.access, block))
         << access.access.array;
   }
 
@@ -133,6 +137,12 @@ TEST_P(RandomizedSweep, InvariantsHoldOnRandomDesign) {
   }
   const DesignPoint design(nest, mapping, shape, std::move(middle));
   ASSERT_TRUE(design.validate(nest).empty());
+  const RectDomain block = design.tiling().block_domain();
+  for (const ArrayAccess& access : nest.accesses()) {
+    EXPECT_EQ(design.tiling().footprint_elems(access.access),
+              closed_form_footprint(access.access, block))
+        << access.access.array << " " << design.to_string(nest);
+  }
 
   const ConvData data = make_random_conv_data(layer, rng);
   const SimResult sim = simulate_systolic(nest, design, layer, data);

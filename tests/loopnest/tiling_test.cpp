@@ -110,6 +110,22 @@ TEST(TilingSpec, FootprintsMatchPaperExample) {
   EXPECT_EQ(spec.footprint_elems(nest.accesses()[out].access), 44 * 13 * 13);
 }
 
+TEST(TilingSpec, FootprintMatchesClosedFormOnSignedAccesses) {
+  // The footprint is the closed form's range product over the block domain
+  // without building the domain, including dimensions whose negative or
+  // strided coefficients and constants stretch the range below the base.
+  AffineExpr flipped(3);
+  flipped.set_coeff(0, -2).set_coeff(1, 1).set_constant(5);
+  AffineExpr strided(3);
+  strided.set_coeff(2, 3).set_constant(-1);
+  const AccessFunction access{"A", {flipped, strided}};
+  const TilingSpec spec({3, 2, 4}, {2, 5, 1});
+  EXPECT_EQ(spec.footprint_elems(access),
+            closed_form_footprint(access, spec.block_domain()));
+  // (2*(6-1) + (10-1) + 1) * (3*(4-1) + 1)
+  EXPECT_EQ(spec.footprint_elems(access), 20 * 10);
+}
+
 TEST(TilingSpec, ValidateCatchesErrors) {
   const LoopNest nest = two_loop_nest(13, 8);
   EXPECT_FALSE(TilingSpec(3).validate(nest).empty());  // wrong loop count
