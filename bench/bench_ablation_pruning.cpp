@@ -138,6 +138,7 @@ int main() {
       {"sweep cache replay", "sweep_cache_exact_hits_total", nullptr},
       {"unified stage-2 incumbent skip", "unified_incumbent_pruned_total",
        "unified_bound_evals_total"},
+      {"unified leaf early exit", "unified_leaves_early_exit_total", nullptr},
   };
   std::int64_t before_pruned[std::size(rules)];
   std::int64_t before_spent[std::size(rules)];
@@ -213,7 +214,8 @@ int main() {
       "price each rule from the live obs counters (a bound rule is only "
       "profitable while `events pruned` dwarfs `bound evals spent`; the two "
       "phase-1 DFS subtree rules share one corner evaluation, so the "
-      "corner-bound row's spend covers both; the unified row's spend is its "
-      "corner aggregates, one LeanModel evaluation per layer each).");
+      "corner-bound row's spend covers both; the unified incumbent row's "
+      "spend is its corner aggregates, one LeanModel rate per layer each; "
+      "the leaf early exit spends one comparison per scored layer).");
   return silent_rules == 0 ? 0 : 1;
 }

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
 #include "core/lean_batch.h"
@@ -440,10 +440,13 @@ std::vector<ArrayShape> enumerate_shapes(const LoopNest& nest,
   std::int64_t considered_count = 0;
   for (std::int64_t rows = 1; rows <= row_cap; ++rows) {
     for (std::int64_t cols = 1; cols <= col_cap; ++cols) {
+      // vec >= 1, so once rows * cols alone exceeds the capacity no larger
+      // cols and no vec can fit.
+      std::int64_t pes;
+      if (!checked_mul(rows, cols, &pes) || pes > capacity) break;
       for (const std::int64_t vec : vec_values) {
         std::int64_t lanes;
-        if (!checked_mul(rows, cols, &lanes) ||
-            !checked_mul(lanes, vec, &lanes)) {
+        if (!checked_mul(pes, vec, &lanes)) {
           continue;  // overflowed lane count certainly exceeds any capacity
         }
         if (lanes > capacity) continue;
@@ -525,7 +528,9 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
   ThreadPool pool(options_.jobs);
   st->jobs_used = pool.jobs();
   const std::size_t workers = static_cast<std::size_t>(pool.jobs());
-  std::vector<std::optional<DseCandidate>> slots(items.size());
+  // One pointer per item: most items yield no candidate, and a slot of
+  // inline DseCandidates would touch ~0.4 KB per item on construction.
+  std::vector<std::unique_ptr<DseCandidate>> slots(items.size());
   std::vector<DseStats> worker_stats(workers);
   std::vector<MiddleCandidateCache> caches(workers);
   std::vector<double> busy(workers, 0.0);
@@ -616,7 +621,8 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       ++ws.soft_logic_rejected;
       return;
     }
-    slots[static_cast<std::size_t>(i)] = std::move(candidate);
+    slots[static_cast<std::size_t>(i)] =
+        std::make_unique<DseCandidate>(std::move(candidate));
   };
 
   // Branch-and-bound floor. A sequential seed pass fully evaluates the top_k
@@ -711,7 +717,7 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       resolved[static_cast<std::size_t>(idx)] = 1;
       ++seed_stats.bound_seed_evaluated;
       const auto& slot = slots[static_cast<std::size_t>(idx)];
-      if (slot.has_value()) contributions.push_back(slot->estimated_gops());
+      if (slot != nullptr) contributions.push_back(slot->estimated_gops());
     }
     // The walk stops at top_k contributions, so the K-th best is the least.
     if (contributions.size() == top_k) {
@@ -783,8 +789,9 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
   std::vector<DseCandidate> candidates;
   candidates.reserve(static_cast<std::size_t>(we - wb));
   for (std::int64_t i = wb; i < we; ++i) {
-    std::optional<DseCandidate>& slot = slots[static_cast<std::size_t>(i)];
-    if (slot.has_value()) candidates.push_back(std::move(*slot));
+    const std::unique_ptr<DseCandidate>& slot =
+        slots[static_cast<std::size_t>(i)];
+    if (slot != nullptr) candidates.push_back(std::move(*slot));
   }
   // stable_sort: slots arrive in item order, so candidates tied on both sort
   // keys keep that order — including across the pruned/exhaustive pair,

@@ -2,9 +2,10 @@
 // inner loops: the phase-1 reuse DFS (core/dse.cpp) scores every leaf and
 // every corner bound with it, and the unified stage-2 DFS (core/unified.cpp)
 // scores its corner bounds with it. All model semantics are identical to
-// resource_model/perf_model (tests assert the equivalence); only the
-// floating-point operation order differs, which is why the bounds built on
-// it carry a (1 + 1e-9) margin (docs/MODEL.md, "Dominance pruning").
+// the layer evaluator's (core/layer_eval.h; tests assert the equivalence);
+// only the floating-point operation order differs, which is why the bounds
+// built on it carry a (1 + 1e-9) margin (docs/MODEL.md, "Dominance
+// pruning").
 #pragma once
 
 #include <algorithm>
@@ -61,13 +62,42 @@ class LeanModel {
   /// INT64_MAX and every rate 0.
   Eval evaluate(const std::vector<std::int64_t>& block, double eff,
                 std::int64_t lanes, std::int64_t num_pes) const {
+    return evaluate_impl<true, true>(block, eff, lanes, num_pes);
+  }
+
+  /// The rate alone: eff, pt_gops, mt_gops and throughput_gops are
+  /// bit-identical to evaluate()'s (one code path); bram_blocks is INT64_MAX
+  /// on a footprint overflow and 0 otherwise. The unified corner bound
+  /// reads nothing else.
+  Eval rate(const std::vector<std::int64_t>& block, double eff,
+            std::int64_t lanes) const {
+    return evaluate_impl<true, false>(block, eff, lanes, 0);
+  }
+
+  /// BRAM blocks only, bit-identical to evaluate()'s bram_blocks (one code
+  /// path). The DFS prefix prune needs nothing else, and skipping the
+  /// throughput/traffic arithmetic roughly halves the cost of the interior
+  /// of the reuse search.
+  std::int64_t bram_only(const std::vector<std::int64_t>& block,
+                         std::int64_t num_pes) const {
+    return evaluate_impl<false, true>(block, 0.0, 0, num_pes).bram_blocks;
+  }
+
+ private:
+  template <bool kRate, bool kBram>
+  Eval evaluate_impl(const std::vector<std::int64_t>& block, double eff,
+                     std::int64_t lanes, std::int64_t num_pes) const {
     Eval out;
     out.eff = eff;
     double macs_per_block = 1.0;
     double num_blocks = 1.0;
-    for (std::size_t l = 0; l < num_loops_; ++l) {
-      macs_per_block *= static_cast<double>(block[l]);
-      num_blocks *= static_cast<double>(ceil_div(trips_[l], block[l]));
+    if constexpr (kRate) {
+      for (std::size_t l = 0; l < num_loops_; ++l) {
+        macs_per_block *= static_cast<double>(block[l]);
+        if constexpr (kBram) {
+          num_blocks *= static_cast<double>(ceil_div(trips_[l], block[l]));
+        }
+      }
     }
 
     // Eq. 5/6.
@@ -90,63 +120,41 @@ class LeanModel {
           return out;
         }
       }
-      const double bytes =
-          2.0 * static_cast<double>(round_up_pow2(footprint)) *
-          info.bytes_per_elem;
-      bram += static_cast<std::int64_t>(
-                  std::ceil(bytes / static_cast<double>(device_.bram_bytes()))) +
-              device_.bram_const_per_buffer;
-      const double stream_bytes =
-          static_cast<double>(footprint) * info.bytes_per_elem;
-      total_bytes += stream_bytes;
-      min_port_gops = std::min(
-          min_port_gops,
-          eff_ops_per_block * device_.bw_port_gbs / stream_bytes);
+      if constexpr (kBram) {
+        const double bytes =
+            2.0 * static_cast<double>(round_up_pow2(footprint)) *
+            info.bytes_per_elem;
+        bram += static_cast<std::int64_t>(std::ceil(
+                    bytes / static_cast<double>(device_.bram_bytes()))) +
+                device_.bram_const_per_buffer;
+      }
+      if constexpr (kRate) {
+        const double stream_bytes =
+            static_cast<double>(footprint) * info.bytes_per_elem;
+        total_bytes += stream_bytes;
+        min_port_gops = std::min(
+            min_port_gops,
+            eff_ops_per_block * device_.bw_port_gbs / stream_bytes);
+      }
     }
-    bram += static_cast<std::int64_t>(
-        std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
-    out.bram_blocks = bram;
+    if constexpr (kBram) {
+      bram += static_cast<std::int64_t>(
+          std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
+      out.bram_blocks = bram;
+    }
 
     // Eqs. 7-10.
-    out.pt_gops = out.eff * static_cast<double>(lanes) * 2.0 * freq_ghz_;
-    out.mt_gops = std::min(eff_ops_per_block * device_.bw_total_gbs / total_bytes,
-                           min_port_gops);
-    out.throughput_gops = std::min(out.pt_gops, out.mt_gops);
-    out.dram_traffic_bytes = num_blocks * total_bytes;
+    if constexpr (kRate) {
+      out.pt_gops = out.eff * static_cast<double>(lanes) * 2.0 * freq_ghz_;
+      out.mt_gops =
+          std::min(eff_ops_per_block * device_.bw_total_gbs / total_bytes,
+                   min_port_gops);
+      out.throughput_gops = std::min(out.pt_gops, out.mt_gops);
+      if constexpr (kBram) out.dram_traffic_bytes = num_blocks * total_bytes;
+    }
     return out;
   }
 
-  /// BRAM blocks only, bit-identical to evaluate()'s bram_blocks (same
-  /// operations in the same order). The DFS prefix prune needs nothing
-  /// else, and skipping the throughput/traffic arithmetic roughly halves
-  /// the cost of the interior of the reuse search.
-  std::int64_t bram_only(const std::vector<std::int64_t>& block,
-                         std::int64_t num_pes) const {
-    std::int64_t bram = 0;
-    for (const AccessInfo& info : accesses_) {
-      std::int64_t footprint = 1;
-      for (const auto& coeffs : info.dims) {
-        std::int64_t range = 1;
-        for (std::size_t l = 0; l < num_loops_; ++l) {
-          range += coeffs[l] * (block[l] - 1);
-        }
-        if (!checked_mul(footprint, range, &footprint)) {
-          return std::numeric_limits<std::int64_t>::max();
-        }
-      }
-      const double bytes =
-          2.0 * static_cast<double>(round_up_pow2(footprint)) *
-          info.bytes_per_elem;
-      bram += static_cast<std::int64_t>(
-                  std::ceil(bytes / static_cast<double>(device_.bram_bytes()))) +
-              device_.bram_const_per_buffer;
-    }
-    bram += static_cast<std::int64_t>(
-        std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
-    return bram;
-  }
-
- private:
   struct AccessInfo {
     std::vector<std::vector<std::int64_t>> dims;  ///< coeff per (dim, loop)
     double bytes_per_elem = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/layer_eval.h"
 #include "util/math_util.h"
 #include "util/strings.h"
 
@@ -22,15 +23,16 @@ std::int64_t executed_iterations_for_inner(
   return executed;
 }
 
+double efficiency_for_inner(const LoopNest& nest,
+                            const std::vector<std::int64_t>& inner) {
+  return static_cast<double>(nest.total_iterations()) /
+         static_cast<double>(executed_iterations_for_inner(nest, inner));
+}
+
 double phase1_pt_bound_gops(const LoopNest& nest,
                             const std::vector<std::int64_t>& inner,
                             std::int64_t lanes, double freq_mhz) {
-  // Same expression shape as estimate_performance: eff from the int64
-  // executed product, then eff * lanes * 2.0 * freq_ghz left to right.
-  const double eff = static_cast<double>(nest.total_iterations()) /
-                     static_cast<double>(executed_iterations_for_inner(nest, inner));
-  const double freq_ghz = freq_mhz * 1e-3;
-  return eff * static_cast<double>(lanes) * 2.0 * freq_ghz;
+  return pt_gops(efficiency_for_inner(nest, inner), lanes, freq_mhz);
 }
 
 PerfEstimate estimate_performance(const LoopNest& nest,
@@ -41,37 +43,14 @@ PerfEstimate estimate_performance(const LoopNest& nest,
   const TilingSpec& tiling = design.tiling();
   perf.freq_mhz = freq_mhz;
   perf.eff = tiling.efficiency(nest);
-
-  // Eq. 8: every lane completes one multiply + one accumulate per cycle.
-  const double lanes = static_cast<double>(design.num_lanes());
-  const double freq_ghz = freq_mhz * 1e-3;
-  perf.pt_gops = perf.eff * lanes * 2.0 * freq_ghz;
-
-  // Eq. 10: effective ops per block over that block's transfer time.
-  const double eff_ops_per_block =
-      perf.eff * 2.0 * static_cast<double>(tiling.macs_per_block());
-  double total_bytes = 0.0;
-  perf.mt_port_gops.clear();
-  for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
-    const double bytes =
-        static_cast<double>(tiling.footprint_elems(nest.accesses()[a].access)) *
-        bytes_per_element(dtype, nest, a);
-    total_bytes += bytes;
-    // Port time in ns = bytes / (GB/s); rate in Gops = ops / ns.
-    const double port_time_ns = bytes / device.bw_port_gbs;
-    perf.mt_port_gops.push_back(eff_ops_per_block / port_time_ns);
-  }
-  const double total_time_ns = total_bytes / device.bw_total_gbs;
-  perf.mt_total_gops = eff_ops_per_block / total_time_ns;
-
-  // Eq. 9.
-  perf.mt_gops = perf.mt_total_gops;
-  for (const double port : perf.mt_port_gops) {
-    perf.mt_gops = std::min(perf.mt_gops, port);
-  }
-
-  // Eq. 7.
-  perf.throughput_gops = std::min(perf.pt_gops, perf.mt_gops);
+  perf.pt_gops = pt_gops(perf.eff, design.num_lanes(), freq_mhz);
+  perf.mt_port_gops.resize(nest.num_accesses());
+  const LayerEval eval = evaluate_layer_rates(
+      nest.num_accesses(), TilingTerms{nest, tiling, dtype}, perf.eff,
+      perf.pt_gops, tiling.macs_per_block(), device, perf.mt_port_gops.data());
+  perf.mt_total_gops = eval.mt_total_gops;
+  perf.mt_gops = eval.mt_gops;
+  perf.throughput_gops = eval.throughput_gops;
   perf.memory_bound = perf.mt_gops < perf.pt_gops;
 
   perf.num_blocks = tiling.num_blocks(nest);

@@ -97,6 +97,12 @@ double dsp_efficiency(const LoopNest& nest, const DesignPoint& design);
 std::int64_t executed_iterations_for_inner(const LoopNest& nest,
                                            const std::vector<std::int64_t>& inner);
 
+/// Eq. 1 for the inner bounds t alone: total iterations over
+/// executed_iterations_for_inner. Equals TilingSpec::efficiency for any
+/// middle bounds s.
+double efficiency_for_inner(const LoopNest& nest,
+                            const std::vector<std::int64_t>& inner);
+
 /// Admissible upper bound on the phase-1 throughput of *every* reuse
 /// strategy of one (mapping, shape) work item: the compute-bound PT of
 /// Eq. 8, which is independent of the middle bounds s (Eff depends only on

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/layer_eval.h"
 #include "util/math_util.h"
 #include "util/strings.h"
 
@@ -28,26 +29,15 @@ ResourceUsage model_resources(const LoopNest& nest, const DesignPoint& design,
   usage.lanes = design.num_lanes();
   usage.dsp_blocks = device_dsp_blocks_for_macs(device, dtype, usage.lanes);
 
-  const TilingSpec& tiling = design.tiling();
-  std::int64_t total_blocks = 0;
+  const TilingTerms terms{nest, design.tiling(), dtype};
   for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
-    BufferUsage buf;
-    buf.array = nest.accesses()[a].access.array;
-    buf.footprint_elems = tiling.footprint_elems(nest.accesses()[a].access);
-    buf.depth_pow2 = round_up_pow2(buf.footprint_elems);
-    buf.bytes = 2.0 * static_cast<double>(buf.depth_pow2) *
-                bytes_per_element(dtype, nest, a);
-    buf.bram_blocks =
-        static_cast<std::int64_t>(
-            std::ceil(buf.bytes / static_cast<double>(device.bram_bytes()))) +
-        device.bram_const_per_buffer;
-    total_blocks += buf.bram_blocks;
-    usage.buffers.push_back(buf);
+    const AccessTerms access = terms(a);
+    const BufferBram bram = buffer_bram(access, device);
+    usage.buffers.push_back(BufferUsage{nest.accesses()[a].access.array,
+                                        access.footprint_elems, bram.depth_pow2,
+                                        bram.bytes, bram.bram_blocks});
   }
-  const std::int64_t num_pes = design.shape().num_pes();
-  total_blocks += static_cast<std::int64_t>(
-      std::ceil(device.bram_per_pe * static_cast<double>(num_pes)));
-  usage.bram_blocks = total_blocks;
+  usage.bram_blocks = bram_usage_blocks(nest, design, device, dtype);
 
   SynthInput synth;
   synth.pe_rows = design.shape().rows;
@@ -77,21 +67,9 @@ ResourceUsage worst_case_resources(const std::vector<LoopNest>& nests,
 
 std::int64_t bram_usage_blocks(const LoopNest& nest, const DesignPoint& design,
                                const FpgaDevice& device, DataType dtype) {
-  const TilingSpec& tiling = design.tiling();
-  std::int64_t total_blocks = 0;
-  for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
-    const std::int64_t elems =
-        tiling.footprint_elems(nest.accesses()[a].access);
-    const double bytes = 2.0 * static_cast<double>(round_up_pow2(elems)) *
-                         bytes_per_element(dtype, nest, a);
-    total_blocks +=
-        static_cast<std::int64_t>(
-            std::ceil(bytes / static_cast<double>(device.bram_bytes()))) +
-        device.bram_const_per_buffer;
-  }
-  total_blocks += static_cast<std::int64_t>(std::ceil(
-      device.bram_per_pe * static_cast<double>(design.shape().num_pes())));
-  return total_blocks;
+  return evaluate_layer_bram(nest.num_accesses(),
+                             TilingTerms{nest, design.tiling(), dtype},
+                             design.shape().num_pes(), device);
 }
 
 std::int64_t bram_usage_blocks_banked(const LoopNest& nest,

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 
+#include "core/layer_eval.h"
 #include "core/lean_batch.h"
 #include "core/lean_model.h"
 #include "core/mapping.h"
@@ -35,55 +36,14 @@ LoopNest unified_envelope_nest(const std::vector<LoopNest>& nests) {
 
 namespace {
 
-/// Aggregate over layers for one fully specified design.
-struct AggregateEval {
-  double total_latency_ms = 0.0;
-  double aggregate_gops = 0.0;
-  double dram_traffic_bytes = 0.0;
-  std::int64_t max_bram = 0;
-  bool valid = false;
-};
-
-AggregateEval evaluate_aggregate(const Network& net,
-                                 const std::vector<LoopNest>& nests,
-                                 const DesignPoint& design,
-                                 const FpgaDevice& device, DataType dtype,
-                                 double freq_mhz, std::int64_t bram_budget) {
-  AggregateEval out;
-  double latency_ms = 0.0;
-  for (std::size_t i = 0; i < net.layers.size(); ++i) {
-    const PerfEstimate perf =
-        estimate_performance(nests[i], design, device, dtype, freq_mhz);
-    if (perf.throughput_gops <= 0.0) return out;
-    latency_ms += layer_latency_ms(net.layers[i], perf);
-    out.max_bram = std::max(
-        out.max_bram, bram_usage_blocks(nests[i], design, device, dtype));
-    double block_bytes = 0.0;
-    for (std::size_t a = 0; a < nests[i].num_accesses(); ++a) {
-      block_bytes += static_cast<double>(design.tiling().footprint_elems(
-                         nests[i].accesses()[a].access)) *
-                     bytes_per_element(dtype, nests[i], a);
-    }
-    out.dram_traffic_bytes +=
-        block_bytes * static_cast<double>(design.tiling().num_blocks(nests[i])) *
-        static_cast<double>(net.layers[i].groups);
-  }
-  if (out.max_bram > bram_budget) return out;
-  out.total_latency_ms = latency_ms;
-  out.aggregate_gops =
-      static_cast<double>(net.total_ops()) / (latency_ms * 1e-3) * 1e-9;
-  out.valid = true;
-  return out;
-}
-
 /// Upper bound on the aggregate Gops of every design whose block trips are
 /// at most `block` in every loop, for a fixed (mapping, shape): the stage-2
 /// incumbent rule's corner score. Layer i's throughput is at most U_i =
 /// min(PT, MT(corner)) on a stride-1 nest (MT is monotone in every block
 /// dimension there) and at most U_i = PT otherwise (PT does not depend on
 /// the middle bounds); the aggregate is increasing in every layer's
-/// throughput, so summing in evaluate_aggregate's order bounds every leaf
-/// below the corner in real arithmetic (docs/MODEL.md, "Dominance
+/// throughput, so summing in the leaf's order bounds every leaf below the
+/// corner in real arithmetic (docs/MODEL.md, "Dominance
 /// pruning"). Returns +infinity, which never prunes, when a layer's corner
 /// footprint overflows or some U_i is not positive.
 double corner_aggregate_gops(const Network& net,
@@ -91,12 +51,11 @@ double corner_aggregate_gops(const Network& net,
                              const std::vector<char>& stride1,
                              const std::vector<double>& eff,
                              const std::vector<std::int64_t>& block,
-                             std::int64_t lanes, std::int64_t num_pes) {
+                             std::int64_t lanes) {
   constexpr double kNoBound = std::numeric_limits<double>::infinity();
   double latency_ms = 0.0;
   for (std::size_t i = 0; i < models.size(); ++i) {
-    const LeanModel::Eval corner =
-        models[i].evaluate(block, eff[i], lanes, num_pes);
+    const LeanModel::Eval corner = models[i].rate(block, eff[i], lanes);
     if (corner.bram_blocks == std::numeric_limits<std::int64_t>::max()) {
       return kNoBound;
     }
@@ -110,7 +69,8 @@ double corner_aggregate_gops(const Network& net,
 
 /// Stage-2 work tallies of one enumerate_unified_candidates call.
 struct SearchCounts {
-  std::int64_t leaves = 0;            ///< designs scored by evaluate_aggregate
+  std::int64_t leaves = 0;            ///< complete middle-bound vectors scored
+  std::int64_t leaves_early_exit = 0; ///< leaves stopped by their partial latency
   std::int64_t bound_evals = 0;       ///< corner aggregates computed
   std::int64_t incumbent_pruned = 0;  ///< subtrees the incumbent rule skipped
 };
@@ -124,6 +84,7 @@ void publish_unified_search(std::size_t pairs, std::size_t shortlist,
   r.counter("unified_pairs_total").add(static_cast<std::int64_t>(pairs));
   r.counter("unified_shortlist_total").add(static_cast<std::int64_t>(shortlist));
   r.counter("unified_leaves_total").add(counts.leaves);
+  r.counter("unified_leaves_early_exit_total").add(counts.leaves_early_exit);
   r.counter("unified_bound_evals_total").add(counts.bound_evals);
   r.counter("unified_incumbent_pruned_total").add(counts.incumbent_pruned);
 }
@@ -217,33 +178,6 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   {
     obs::ScopedSpan shortlist_span("unified.shortlist", "unified");
     shortlist_span.arg("pairs", static_cast<std::int64_t>(pairs.size()));
-    // Per-layer compute-bound rate of every pair, batched through the SoA
-    // kernel (the probe DesignPoint + TilingSpec the scalar loop built per
-    // (pair, layer) reduced to one exact int64 product and one vectorized
-    // flat loop per layer).
-    std::vector<std::vector<double>> layer_gops(net.layers.size());
-    {
-      ShapeBatch batch;
-      batch.resize(pairs.size());
-      std::vector<std::int64_t> inner;
-      for (std::size_t i = 0; i < net.layers.size(); ++i) {
-        inner.assign(nests[i].num_loops(), 1);
-        for (std::size_t p = 0; p < pairs.size(); ++p) {
-          const SystolicMapping& mapping = pairs[p].first;
-          const ArrayShape& shape = pairs[p].second;
-          std::fill(inner.begin(), inner.end(), 1);
-          inner[mapping.row_loop] = shape.rows;
-          inner[mapping.col_loop] = shape.cols;
-          inner[mapping.vec_loop] = shape.vec;
-          batch.lanes[p] = static_cast<double>(shape.num_lanes());
-          batch.executed[p] = static_cast<double>(
-              executed_iterations_for_inner(nests[i], inner));
-        }
-        batch_pt_bounds(batch, static_cast<double>(nests[i].total_iterations()),
-                        freq * 1e-3);
-        layer_gops[i] = batch.pt_gops;
-      }
-    }
     pool.for_each(
         static_cast<std::int64_t>(pairs.size()),
         [&](std::int64_t begin, std::int64_t end, int worker) {
@@ -251,21 +185,50 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
           shard.arg("begin", begin);
           shard.arg("end", end);
           shard.arg("worker", worker);
+          // Per-layer compute-bound rate of every pair in the range,
+          // batched through the SoA kernel: one exact int64 executed
+          // product per (pair, layer) and one vectorized flat loop per
+          // layer. Each pair's latency sums its layers in layer order.
+          const std::size_t m = static_cast<std::size_t>(end - begin);
+          std::vector<double> lanes(m);
+          std::vector<double> executed(m);
+          std::vector<double> pt(m);
+          std::vector<double> latency_s(m, 0.0);
+          for (std::size_t k = 0; k < m; ++k) {
+            lanes[k] = static_cast<double>(
+                pairs[static_cast<std::size_t>(begin) + k].second.num_lanes());
+          }
+          std::vector<std::int64_t> inner;
+          for (std::size_t i = 0; i < net.layers.size(); ++i) {
+            inner.assign(nests[i].num_loops(), 1);
+            for (std::size_t k = 0; k < m; ++k) {
+              const auto& [mapping, shape] =
+                  pairs[static_cast<std::size_t>(begin) + k];
+              std::fill(inner.begin(), inner.end(), 1);
+              inner[mapping.row_loop] = shape.rows;
+              inner[mapping.col_loop] = shape.cols;
+              inner[mapping.vec_loop] = shape.vec;
+              executed[k] = static_cast<double>(
+                  executed_iterations_for_inner(nests[i], inner));
+            }
+            batch_pt_bounds(executed.data(), lanes.data(),
+                            static_cast<double>(nests[i].total_iterations()),
+                            freq * 1e-3, pt.data(), m);
+            const double ops = static_cast<double>(net.layers[i].total_ops());
+            for (std::size_t k = 0; k < m; ++k) {
+              latency_s[k] += ops / (pt[k] * 1e9);
+            }
+          }
           for (std::int64_t p = begin; p < end; ++p) {
             if (cancel.cut(p)) {
               cancelled.store(true, std::memory_order_relaxed);
               break;
             }
-            double latency_s = 0.0;
-            for (std::size_t i = 0; i < net.layers.size(); ++i) {
-              const double gops = layer_gops[i][static_cast<std::size_t>(p)];
-              latency_s +=
-                  static_cast<double>(net.layers[i].total_ops()) / (gops * 1e9);
-            }
-            scored[static_cast<std::size_t>(p)] = Scored{
-                pairs[static_cast<std::size_t>(p)].first,
-                pairs[static_cast<std::size_t>(p)].second,
-                static_cast<double>(net.total_ops()) / latency_s * 1e-9};
+            const std::size_t slot = static_cast<std::size_t>(p);
+            scored[slot] = Scored{
+                pairs[slot].first, pairs[slot].second,
+                static_cast<double>(net.total_ops()) /
+                    latency_s[static_cast<std::size_t>(p - begin)] * 1e-9};
           }
         });
   }
@@ -283,12 +246,25 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   const std::int64_t bram_budget = static_cast<std::int64_t>(
       dse.max_bram_util * static_cast<double>(device.bram_blocks));
 
-  // Incumbent rule (docs/MODEL.md, "Dominance pruning"): once an entry
-  // holds a best leaf, the DFS skips a middle-bound subtree whose corner
-  // aggregate cannot beat it. The corner is scored by one LeanModel per
-  // layer nest, built once here and shared read-only by every worker. Armed
-  // only under bound_prune, so `bound_prune 0` keeps the unbounded DFS as
-  // the oracle.
+  // Leaves are scored by the layer evaluator (core/layer_eval.h) on
+  // constants built once per layer nest here and shared read-only by every
+  // worker; a leaf allocates nothing.
+  std::vector<LayerConstants> layers;
+  layers.reserve(nests.size());
+  std::size_t max_accesses = 0;
+  for (const LoopNest& nest : nests) {
+    layers.emplace_back(nest, dtype);
+    max_accesses = std::max(max_accesses, layers.back().num_accesses());
+  }
+  const double total_ops = static_cast<double>(net.total_ops());
+
+  // Incumbent rules (docs/MODEL.md, "Dominance pruning"), armed once an
+  // entry holds a best leaf and only under bound_prune, so `bound_prune 0`
+  // keeps the unbounded DFS as the oracle:
+  //  - the DFS skips a middle-bound subtree whose corner aggregate cannot
+  //    beat the incumbent. The corner is scored by one LeanModel per layer
+  //    nest, built once here and shared read-only by every worker;
+  //  - a leaf stops once its partial latency proves it cannot beat it.
   const bool incumbent_skip = dse.bound_prune;
   std::vector<LeanModel> models;
   std::vector<char> stride1;
@@ -315,11 +291,23 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     inner[mapping.vec_loop] = shape.vec;
     const std::int64_t lanes = shape.num_lanes();
     const std::int64_t num_pes = shape.num_pes();
-    std::vector<double> eff(models.size());
+    // Per (layer, shape) constants: the corner's LeanModel efficiency, and
+    // the leaf's Eq. 1 (int64 executed product) and PT.
+    std::vector<double> lean_eff(models.size());
     for (std::size_t i = 0; i < models.size(); ++i) {
-      eff[i] = models[i].efficiency(inner);
+      lean_eff[i] = models[i].efficiency(inner);
     }
+    std::vector<double> eff(layers.size());
+    std::vector<double> pt(layers.size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      eff[i] = efficiency_for_inner(nests[i], inner);
+      pt[i] = pt_gops(eff[i], lanes, freq);
+    }
+    // Leaf buffers, reused by every leaf of the entry.
     std::vector<std::int64_t> block(n, 0);
+    std::vector<std::int64_t> fp(layers.size() * max_accesses);
+    std::vector<double> ports(max_accesses);
+    std::vector<LayerEval> evals(layers.size());
     SearchCounts counts;
 
     std::vector<std::vector<std::int64_t>> cand(n);
@@ -337,52 +325,100 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     }
 
     std::vector<std::int64_t> current(n, 1);
-    UnifiedCandidate best;
+    std::vector<std::int64_t> best_mids;
+    double best_gops = 0.0;
+    double best_traffic = 0.0;
+    std::int64_t best_bram = 0;
     bool found = false;
+
+    // Scores the leaf `current` on every layer and keeps it if it passes
+    // `better` (aggregate, then traffic, then BRAM, 1e-12 tie window).
+    auto score_leaf = [&] {
+      ++counts.leaves;
+      std::int64_t macs_per_block = 1;
+      for (std::size_t l = 0; l < n; ++l) {
+        block[l] = current[l] * inner[l];
+        macs_per_block *= block[l];
+      }
+      // Early exit: partial latencies of positive terms never decrease and
+      // the aggregate never rises as the latency grows, so once a prefix's
+      // aggregate fails `better`, the full aggregate fails it too.
+      const bool early_exit = incumbent_skip && found;
+      double latency_ms = 0.0;
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        const LayerConstants& layer = layers[i];
+        std::int64_t* layer_fp = &fp[i * max_accesses];
+        layer.footprints(block.data(), layer_fp);
+        evals[i] = evaluate_layer_rates(layer.num_accesses(),
+                                        layer.terms(layer_fp), eff[i], pt[i],
+                                        macs_per_block, device, ports.data());
+        if (evals[i].throughput_gops <= 0.0) return;
+        latency_ms += static_cast<double>(net.layers[i].total_ops()) /
+                      (evals[i].throughput_gops * 1e9) * 1e3;
+        if (early_exit &&
+            !(total_ops / (latency_ms * 1e-3) * 1e-9 > best_gops - 1e-12)) {
+          ++counts.leaves_early_exit;
+          return;
+        }
+      }
+      std::int64_t max_bram = 0;
+      double traffic = 0.0;
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        const LayerConstants& layer = layers[i];
+        evals[i].bram_blocks = evaluate_layer_bram(
+            layer.num_accesses(), layer.terms(&fp[i * max_accesses]), num_pes,
+            device);
+        evals[i].num_blocks = layer.num_blocks(block.data());
+        max_bram = std::max(max_bram, evals[i].bram_blocks);
+        traffic += evals[i].block_bytes *
+                   static_cast<double>(evals[i].num_blocks) *
+                   static_cast<double>(net.layers[i].groups);
+      }
+      if (max_bram > bram_budget) return;
+      const double aggregate = total_ops / (latency_ms * 1e-3) * 1e-9;
+      const bool better =
+          !found || aggregate > best_gops + 1e-12 ||
+          (aggregate > best_gops - 1e-12 &&
+           (traffic < best_traffic * (1.0 - 1e-12) ||
+            (traffic <= best_traffic * (1.0 + 1e-12) && max_bram < best_bram)));
+      if (better) {
+        best_gops = aggregate;
+        best_traffic = traffic;
+        best_bram = max_bram;
+        best_mids = current;
+        found = true;
+      }
+    };
+
+    const LayerConstants& front = layers.front();
     auto dfs = [&](auto&& self, std::size_t depth) -> void {
       // The margin covers the two evaluators' rounding and the 1e-12 tie
-      // window of `better` below: a skipped leaf could not replace `best`.
+      // window of `better`: a skipped leaf could not replace the incumbent.
       if (incumbent_skip && found && depth > 0 && depth < n) {
         for (std::size_t l = 0; l < n; ++l) {
           block[l] = (l < depth ? current[l] : cand[l].back()) * inner[l];
         }
         ++counts.bound_evals;
-        const double corner = corner_aggregate_gops(net, models, stride1, eff,
-                                                    block, lanes, num_pes);
-        if (corner * (1.0 + 1e-9) + 1e-12 < best.est_gops) {
+        const double corner =
+            corner_aggregate_gops(net, models, stride1, lean_eff, block, lanes);
+        if (corner * (1.0 + 1e-9) + 1e-12 < best_gops) {
           ++counts.incumbent_pruned;
           return;
         }
       }
       if (depth == n) {
-        const DesignPoint design(nests.front(), mapping, shape,
-                                 std::vector<std::int64_t>(current));
-        ++counts.leaves;
-        const AggregateEval eval = evaluate_aggregate(
-            net, nests, design, device, dtype, freq, bram_budget);
-        if (!eval.valid) return;
-        const bool better =
-            !found || eval.aggregate_gops > best.est_gops + 1e-12 ||
-            (eval.aggregate_gops > best.est_gops - 1e-12 &&
-             (eval.dram_traffic_bytes < best.dram_traffic_bytes * (1.0 - 1e-12) ||
-              (eval.dram_traffic_bytes <=
-                   best.dram_traffic_bytes * (1.0 + 1e-12) &&
-               eval.max_bram < best.max_bram)));
-        if (better) {
-          best = UnifiedCandidate{design, eval.aggregate_gops,
-                                  eval.dram_traffic_bytes, eval.max_bram};
-          found = true;
-        }
+        score_leaf();
         return;
       }
       for (const std::int64_t s : cand[depth]) {
         current[depth] = s;
         // Monotone BRAM prune: minimal suffix on the first layer's nest.
-        std::vector<std::int64_t> mids(n, 1);
-        for (std::size_t l = 0; l <= depth; ++l) mids[l] = current[l];
-        const DesignPoint probe(nests.front(), mapping, shape, std::move(mids));
-        if (bram_usage_blocks(nests.front(), probe, device, dtype) >
-            bram_budget) {
+        for (std::size_t l = 0; l < n; ++l) {
+          block[l] = (l <= depth ? current[l] : 1) * inner[l];
+        }
+        front.footprints(block.data(), fp.data());
+        if (evaluate_layer_bram(front.num_accesses(), front.terms(fp.data()),
+                                num_pes, device) > bram_budget) {
           break;
         }
         self(self, depth + 1);
@@ -390,7 +426,11 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       current[depth] = 1;
     };
     dfs(dfs, 0);
-    if (found) entry_best[idx] = std::move(best);
+    if (found) {
+      entry_best[idx] = UnifiedCandidate{
+          DesignPoint(nests.front(), mapping, shape, std::move(best_mids)),
+          best_gops, best_traffic, best_bram};
+    }
     entry_counts[idx] = counts;
   };
   {
@@ -423,6 +463,7 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       candidates.push_back(std::move(*entry_best[e]));
     }
     counts.leaves += entry_counts[e].leaves;
+    counts.leaves_early_exit += entry_counts[e].leaves_early_exit;
     counts.bound_evals += entry_counts[e].bound_evals;
     counts.incumbent_pruned += entry_counts[e].incumbent_pruned;
   }

@@ -1,5 +1,6 @@
 #include "util/math_util.h"
 
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -17,13 +18,10 @@ std::int64_t round_up(std::int64_t a, std::int64_t b) {
 
 std::int64_t round_up_pow2(std::int64_t a) {
   assert(a >= 1);
-  // 2^62 is the largest int64 power of two; shifting it again would move a
-  // bit into the sign position (UB). Anything above it saturates.
+  // 2^62 is the largest int64 power of two; anything above it saturates.
   constexpr std::int64_t kMaxPow2 = std::int64_t{1} << 62;
   if (a > kMaxPow2) return std::numeric_limits<std::int64_t>::max();
-  std::int64_t p = 1;
-  while (p < a) p <<= 1;
-  return p;
+  return static_cast<std::int64_t>(std::bit_ceil(static_cast<std::uint64_t>(a)));
 }
 
 bool is_pow2(std::int64_t a) {

@@ -19,8 +19,7 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b);
 std::int64_t round_up(std::int64_t a, std::int64_t b);
 
 /// Smallest power of two >= a (a >= 1). round_up_pow2(1) == 1. Saturates to
-/// INT64_MAX when the next power of two does not fit in int64 (a > 2^62) —
-/// shifting past the sign bit would be undefined behavior.
+/// INT64_MAX when the next power of two does not fit in int64 (a > 2^62).
 /// This models the Intel OpenCL flow's buffer allocation, which rounds
 /// memory sizes up to powers of two (paper §3.3, Eq. 6).
 std::int64_t round_up_pow2(std::int64_t a);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "loopnest/conv_nest.h"
 #include "nn/network.h"
 #include "support/metric_deltas.h"
@@ -158,6 +161,66 @@ TEST(SelectUnified, CountersIncludeSearchesThatFindNothing) {
                    .valid);
   EXPECT_EQ(select("unified_runs_total"), 1);
   EXPECT_EQ(select("unified_pairs_total"), pairs);
+}
+
+TEST(UnifiedCandidates, EstimatesMatchThePublicModels) {
+  // Every candidate is recomputed through the public views: its est_gops is
+  // evaluate_unified_design's aggregate at the assumed clock, its max_bram
+  // the largest bram_usage_blocks over the layers, and its traffic
+  // sum_i sum_r DA_r*bpe_r * blocks_i * groups_i. AlexNet brings a strided
+  // layer (conv1) and grouped ones (conv2, conv4, conv5).
+  const Network net = make_alexnet();
+  std::vector<LoopNest> nests;
+  for (const ConvLayerDesc& layer : net.layers) {
+    nests.push_back(build_conv_nest(layer));
+  }
+  const FpgaDevice device = arria10_gt1150();
+  struct Budget {
+    const char* label;
+    double max_bram_util;  ///< <= 0 keeps the default budget
+    double freq_mhz;
+    DataType dtype;
+  };
+  for (const Budget& budget :
+       {Budget{"bram 0.04 @329", 0.04, 329.0, DataType::kFloat32},
+        Budget{"default", 0.0, 280.0, DataType::kFloat32},
+        Budget{"fixed8_16", 0.0, 280.0, DataType::kFixed8_16}}) {
+    UnifiedOptions options;
+    options.dse.assumed_freq_mhz = budget.freq_mhz;
+    if (budget.max_bram_util > 0.0) {
+      options.dse.max_bram_util = budget.max_bram_util;
+    }
+    const std::vector<UnifiedCandidate> candidates =
+        enumerate_unified_candidates(net, device, budget.dtype, options);
+    ASSERT_FALSE(candidates.empty()) << budget.label;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      const UnifiedCandidate& cand = candidates[c];
+      const TilingSpec& tiling = cand.design.tiling();
+      const UnifiedDesign eval = evaluate_unified_design(
+          net, cand.design, device, budget.dtype, budget.freq_mhz);
+      EXPECT_EQ(cand.est_gops, eval.aggregate_gops)
+          << budget.label << " entry " << c;
+      std::int64_t max_bram = 0;
+      double traffic = 0.0;
+      for (std::size_t i = 0; i < nests.size(); ++i) {
+        max_bram = std::max(max_bram, bram_usage_blocks(nests[i], cand.design,
+                                                        device, budget.dtype));
+        double block_bytes = 0.0;
+        for (std::size_t a = 0; a < nests[i].num_accesses(); ++a) {
+          block_bytes +=
+              static_cast<double>(
+                  tiling.footprint_elems(nests[i].accesses()[a].access)) *
+              bytes_per_element(budget.dtype, nests[i], a);
+        }
+        traffic += block_bytes *
+                   static_cast<double>(tiling.num_blocks(nests[i])) *
+                   static_cast<double>(net.layers[i].groups);
+      }
+      EXPECT_EQ(cand.max_bram, max_bram) << budget.label << " entry " << c;
+      EXPECT_EQ(cand.dram_traffic_bytes, traffic)
+          << budget.label << " entry " << c;
+    }
+  }
 }
 
 TEST(SelectUnified, SummaryListsLayers) {

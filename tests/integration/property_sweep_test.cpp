@@ -14,6 +14,7 @@
 #include "loopnest/reuse.h"
 #include "nn/reference.h"
 #include "sim/systolic_array.h"
+#include "support/random_design.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 
@@ -107,35 +108,10 @@ class RandomizedSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomizedSweep, InvariantsHoldOnRandomDesign) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
-  const ConvLayerDesc layer = make_conv(
-      "rand", rng.next_range(2, 10), rng.next_range(2, 10),
-      rng.next_range(3, 7), rng.next_range(1, 3) * 2 - 1);
-  const LoopNest nest = build_conv_nest(layer);
-  const ReuseMatrix reuse = analyze_reuse(nest);
-  const std::vector<SystolicMapping> mappings =
-      enumerate_feasible_mappings(nest, reuse);
-  const SystolicMapping mapping =
-      mappings[rng.next_below(mappings.size())];
-
-  auto pick_extent = [&](std::size_t loop) {
-    return rng.next_range(1, std::min<std::int64_t>(4, nest.loop(loop).trip));
-  };
-  const ArrayShape shape{pick_extent(mapping.row_loop),
-                         pick_extent(mapping.col_loop),
-                         pick_extent(mapping.vec_loop)};
-  std::vector<std::int64_t> middle(6, 1);
-  for (std::size_t l = 0; l < 6; ++l) {
-    // Keep the block within the padded trip count (oversized middle bounds
-    // on tiny loops are a configuration error the validator rejects).
-    const std::int64_t inner =
-        l == mapping.row_loop ? shape.rows
-        : l == mapping.col_loop ? shape.cols
-        : l == mapping.vec_loop ? shape.vec
-                                : 1;
-    const std::int64_t cap = ceil_div(nest.loop(l).trip, inner);
-    middle[l] = rng.next_range(1, std::min<std::int64_t>(3, cap));
-  }
-  const DesignPoint design(nest, mapping, shape, std::move(middle));
+  const RandomDesign drawn = random_design(rng);
+  const ConvLayerDesc& layer = drawn.layer;
+  const LoopNest& nest = drawn.nest;
+  const DesignPoint& design = drawn.design;
   ASSERT_TRUE(design.validate(nest).empty());
   const RectDomain block = design.tiling().block_domain();
   for (const ArrayAccess& access : nest.accesses()) {

@@ -33,6 +33,15 @@ TEST(RoundUpPow2, Values) {
   EXPECT_EQ(round_up_pow2(1000), 1024);
   EXPECT_EQ(round_up_pow2(1024), 1024);
   EXPECT_EQ(round_up_pow2(1025), 2048);
+  EXPECT_EQ(round_up_pow2((std::int64_t{1} << 32) + 1), std::int64_t{1} << 33);
+  EXPECT_EQ(round_up_pow2((std::int64_t{1} << 61) + 1), std::int64_t{1} << 62);
+  EXPECT_EQ(round_up_pow2((std::int64_t{1} << 62) - 1), std::int64_t{1} << 62);
+  // The saturation boundary: 2^62 is the largest int64 power of two.
+  EXPECT_EQ(round_up_pow2(std::int64_t{1} << 62), std::int64_t{1} << 62);
+  EXPECT_EQ(round_up_pow2((std::int64_t{1} << 62) + 1),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(round_up_pow2(std::numeric_limits<std::int64_t>::max()),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(IsPow2, Values) {
