@@ -7,7 +7,8 @@
 # Pass criteria:
 #   * the daemon never crashes and exits 0 after a clean drain
 #     ("drained, exiting" on stderr);
-#   * ok AND timeout verdicts were both actually served;
+#   * ok verdicts, mid-DSE timeouts and admission-time timeouts were each
+#     actually served;
 #   * the `requests` counter sampled via `health` is monotonic;
 #   * no sanitizer report in either log (the CI sanitize jobs run this
 #     script too).
@@ -71,13 +72,17 @@ talk() {
 
 req_tiny='sasynth-request v1\nlayer 16,16,8,8,3\ndevice tiny\noption min_util 0.5\nend\n'
 req_tiny2='sasynth-request v1\nlayer 8,16,4,4,3\ndevice tiny\noption min_util 0.5\nend\n'
-# Cold AlexNet-sized layer on a budget far below its DSE time: mid-DSE timeout.
-req_tight='sasynth-request v1\nlayer 48,128,13,13,3\ndeadline_ms 100\nend\n'
+# Cold AlexNet-sized layer on a budget far below its DSE time: mid-DSE
+# timeout. The exhaustive all-integer sweep takes seconds (the pruned sweep
+# a few ms), and a timeout is never cached, so every repeat runs a cold DSE
+# into its deadline.
+req_tight='sasynth-request v1\nlayer 48,128,13,13,3\noption bound_prune 0\noption pow2_middle 0\ndeadline_ms 100\nend\n'
 # Dead on arrival: shed at admission.
 req_doa='sasynth-request v1\nlayer 16,16,8,8,3\ndevice tiny\ndeadline_ms 0\nend\n'
 
 ok_seen=0
-timeout_seen=0
+timeout_dse_seen=0
+timeout_admission_seen=0
 health_samples="$workdir/health_requests.txt"
 : > "$health_samples"
 
@@ -91,9 +96,9 @@ while [ "$(date +%s)" -lt "$end_at" ]; do
     1|4) resp=$(talk "$req_tiny" 1)
          case $resp in *"sasynth-response v1 ok"*) ok_seen=$((ok_seen + 1));; esac ;;
     2) resp=$(talk "$req_tight" 1)
-       case $resp in *"sasynth-response v1 timeout"*) timeout_seen=$((timeout_seen + 1));; esac ;;
+       case $resp in *"timeout deadline exceeded during design space exploration"*) timeout_dse_seen=$((timeout_dse_seen + 1));; esac ;;
     3) resp=$(talk "$req_doa" 1)
-       case $resp in *"timeout deadline expired before admission"*) timeout_seen=$((timeout_seen + 1));; esac ;;
+       case $resp in *"timeout deadline expired before admission"*) timeout_admission_seen=$((timeout_admission_seen + 1));; esac ;;
     5) resp=$(talk "$req_tiny2" 1)
        case $resp in *"sasynth-response v1 ok"*) ok_seen=$((ok_seen + 1));; esac ;;
     6) resp=$(talk 'health\n' 1)
@@ -103,10 +108,12 @@ while [ "$(date +%s)" -lt "$end_at" ]; do
        esac ;;
   esac
 done
-echo "soak_smoke: traffic done after $i connections (ok=$ok_seen timeout=$timeout_seen)"
+echo "soak_smoke: traffic done after $i connections (ok=$ok_seen" \
+  "timeout_dse=$timeout_dse_seen timeout_admission=$timeout_admission_seen)"
 
 [ "$ok_seen" -ge 1 ] || fail "no ok verdict was ever served"
-[ "$timeout_seen" -ge 1 ] || fail "no timeout verdict was ever served"
+[ "$timeout_dse_seen" -ge 1 ] || fail "no mid-DSE timeout was ever served"
+[ "$timeout_admission_seen" -ge 1 ] || fail "no admission-time timeout was ever served"
 [ -s "$health_samples" ] || fail "no health sample ever answered"
 
 # Counters are monotonic: the requests series sampled via health never dips.

@@ -239,8 +239,7 @@ bool best_reuse_impl(const LoopNest& nest, const LeanModel& model,
       for (std::size_t l = 0; l < n; ++l) {
         block[l] = (l < depth ? current[l] : candidates[l]->back()) * inner[l];
       }
-      const LeanModel::Eval corner =
-          model.evaluate(block, eff, lanes, num_pes);
+      const LeanModel::Eval corner = model.rate(block, eff, lanes);
       ++bound_evals;
       if (corner.bram_blocks != std::numeric_limits<std::int64_t>::max()) {
         const double corner_hi = corner.throughput_gops * (1.0 + 1e-9) + 1e-12;
@@ -656,6 +655,7 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
     // bound (docs/MODEL.md, "Dominance pruning").
     if (mt_monotone) {
       const std::size_t n = nest.num_loops();
+      const std::vector<std::int64_t>& trips = model.layer().trips();
       std::vector<std::int64_t> inner(n, 1);
       std::vector<std::int64_t> block(n, 0);
       // Window-only: bounds are read solely for window items (seed order and
@@ -668,15 +668,13 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
         inner[item.mapping->col_loop] = item.shape.cols;
         inner[item.mapping->vec_loop] = item.shape.vec;
         for (std::size_t l = 0; l < n; ++l) {
-          const std::int64_t cap = ceil_div(nest.loop(l).trip, inner[l]);
-          const std::int64_t s_max = options_.pow2_middle
-                                         ? caches[0].pow2_covering(cap).back()
-                                         : cap;
-          block[l] = s_max * inner[l];
+          // The largest candidate middle bound: all integers up to cap, or
+          // the powers of two covering it, whose last is round_up_pow2(cap).
+          const std::int64_t cap = ceil_div(trips[l], inner[l]);
+          block[l] = (options_.pow2_middle ? round_up_pow2(cap) : cap) * inner[l];
         }
-        const LeanModel::Eval top = model.evaluate(
-            block, model.efficiency(inner), item.shape.num_lanes(),
-            item.shape.num_pes());
+        const LeanModel::Eval top =
+            model.rate(block, model.efficiency(inner), item.shape.num_lanes());
         if (top.bram_blocks == std::numeric_limits<std::int64_t>::max()) {
           continue;  // footprint overflowed: keep the PT-only bound
         }
@@ -724,10 +722,13 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
       floor_gops = *std::min_element(contributions.begin(), contributions.end());
     }
     seed_span.arg("seeded", static_cast<std::int64_t>(seed_n));
-    // The seed walk is busy time too, on the calling thread.
-    st->phase1_cpu_seconds += seed_span.elapsed_seconds();
   }
 
+  // Busy time: the calling thread runs every stage outside the parallel
+  // sweep (enumeration, bound pass, seed walk, merge) and only waits while
+  // the workers' shards run, so phase 1 is busy except for the sweep's wall
+  // time, plus each worker's shard time.
+  const double sweep_start = phase1_span.elapsed_seconds();
   pool.for_each(
       we - wb,
       [&](std::int64_t begin, std::int64_t end, int worker) {
@@ -768,6 +769,7 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
         }
         busy[static_cast<std::size_t>(worker)] += shard.elapsed_seconds();
       });
+  const double sweep_seconds = phase1_span.elapsed_seconds() - sweep_start;
 
   worker_stats.push_back(seed_stats);
   for (const DseStats& ws : worker_stats) {
@@ -784,7 +786,6 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
     st->memo_exact_hits += ws.memo_exact_hits;
     st->cancelled = st->cancelled || ws.cancelled;
   }
-  for (const double b : busy) st->phase1_cpu_seconds += b;
 
   std::vector<DseCandidate> candidates;
   candidates.reserve(static_cast<std::size_t>(we - wb));
@@ -805,6 +806,8 @@ std::vector<DseCandidate> DesignSpaceExplorer::enumerate_phase1(
                    });
   const double wall = phase1_span.elapsed_seconds();
   st->phase1_seconds += wall;
+  st->phase1_cpu_seconds += wall - sweep_seconds;
+  for (const double b : busy) st->phase1_cpu_seconds += b;
   phase1_span.arg("work_items", st->work_items - before.work_items);
   phase1_span.arg("candidates", static_cast<std::int64_t>(candidates.size()));
   publish_phase1_run(before, *st, candidates.size(), wall);

@@ -195,10 +195,10 @@ struct DseStats {
   int jobs_used = 0;
   double phase1_seconds = 0.0;      ///< wall time
   double phase2_seconds = 0.0;      ///< wall time
-  /// Busy time of phase 1: the serial seed walk on the calling thread plus
-  /// the summed per-worker busy time of the parallel sweep.
-  /// phase1_cpu_seconds / phase1_seconds approximates the realized parallel
-  /// speedup.
+  /// Busy time of phase 1: every stage on the calling thread (enumeration,
+  /// bound pass, seed walk, merge) plus the summed per-worker busy time of
+  /// the parallel sweep. phase1_cpu_seconds / phase1_seconds approximates
+  /// the realized parallel speedup (~1 at jobs 1).
   double phase1_cpu_seconds = 0.0;
   double phase2_cpu_seconds = 0.0;
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/resource_model.h"
-#include "util/math_util.h"
 
 namespace sasynth {
 
@@ -31,39 +30,19 @@ AccessTerms TilingTerms::operator()(std::size_t a) const {
 
 LayerConstants::LayerConstants(const LoopNest& nest, DataType dtype)
     : trips_(nest.trip_counts()) {
-  const std::size_t n = nest.num_loops();
   for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
-    access_begin_.push_back(dims_.size());
+    dim_begin_.push_back(term_begin_.size());
     for (const AffineExpr& dim : nest.accesses()[a].access.indices) {
-      dims_.push_back(dim.constant());
-      for (std::size_t l = 0; l < n; ++l) dims_.push_back(dim.coeff(l));
+      term_begin_.push_back(terms_.size());
+      for (std::size_t l = 0; l < nest.num_loops(); ++l) {
+        const std::int64_t c = dim.coeff(l);
+        if (c != 0) terms_.push_back(Term{l, c < 0 ? -c : c});
+      }
     }
     bytes_per_elem_.push_back(bytes_per_element(dtype, nest, a));
   }
-  access_begin_.push_back(dims_.size());
-}
-
-void LayerConstants::footprints(const std::int64_t* block,
-                                std::int64_t* fp) const {
-  // TilingSpec::footprint_elems over flattened rows: per dimension, the
-  // range [lo, hi] of constant + sum_l coeff_l * [0, b_l - 1].
-  const std::size_t n = trips_.size();
-  for (std::size_t a = 0; a < num_accesses(); ++a) {
-    std::int64_t total = 1;
-    for (std::size_t d = access_begin_[a]; d < access_begin_[a + 1];
-         d += n + 1) {
-      const std::int64_t* coeffs = &dims_[d + 1];
-      std::int64_t lo = dims_[d];
-      std::int64_t hi = dims_[d];
-      for (std::size_t l = 0; l < n; ++l) {
-        const std::int64_t span = coeffs[l] * (block[l] - 1);
-        if (span >= 0) hi += span;
-        else lo += span;
-      }
-      total *= hi - lo + 1;
-    }
-    fp[a] = total;
-  }
+  dim_begin_.push_back(term_begin_.size());
+  term_begin_.push_back(terms_.size());
 }
 
 std::int64_t LayerConstants::num_blocks(const std::int64_t* block) const {

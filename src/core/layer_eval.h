@@ -12,8 +12,10 @@
 //   T     = min(PT, MT)                                 (Eq. 7)
 //   B     = sum_r (ceil(2*pow2(DA_r)*bpe_r / blk) + c_b) + ceil(c_p*PEs)
 //
-// The one other copy is the phase-1 LeanModel (core/lean_model.h), which
-// divides in a different order (docs/MODEL.md, "Dominance pruning").
+// Eq. 5 is computed once for both searches, by LayerConstants::footprint
+// below. Eqs. 6-10 have one other copy, the phase-1 LeanModel
+// (core/lean_model.h), which divides in a different order (docs/MODEL.md,
+// "Dominance pruning").
 #pragma once
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "fpga/device.h"
 #include "loopnest/loop_nest.h"
 #include "loopnest/tiling.h"
+#include "util/math_util.h"
 
 namespace sasynth {
 
@@ -122,20 +125,47 @@ struct TilingTerms {
 };
 
 /// Per-(nest, dtype) constants of the evaluator, built once per search: the
-/// trips, every access's coefficient rows and constant offsets (flattened),
-/// and every access's bytes per element. Evaluating allocates nothing. The
-/// per-(layer, shape) terms are efficiency_for_inner (perf_model.h) and
-/// pt_gops above.
+/// trips, every access's Eq. 5 terms and every access's bytes per element.
+/// Both searches compute Eq. 5 here: the unified stage-2 leaf and BRAM probe
+/// directly, phase 1 and the stage-2 corner bound through LeanModel
+/// (core/lean_model.h). Evaluating allocates nothing. The per-(layer, shape)
+/// terms are efficiency_for_inner (perf_model.h) and pt_gops above.
 class LayerConstants {
  public:
   LayerConstants(const LoopNest& nest, DataType dtype);
 
   std::size_t num_accesses() const { return bytes_per_elem_.size(); }
+  const std::vector<std::int64_t>& trips() const { return trips_; }
+  double bytes_per_elem(std::size_t a) const { return bytes_per_elem_[a]; }
 
-  /// Eq. 5 of every access at block trips `block`, into fp[a]: the same
-  /// integers as TilingSpec::footprint_elems, signed coefficients and
-  /// constant offsets included.
-  void footprints(const std::int64_t* block, std::int64_t* fp) const;
+  /// Eq. 5 of access a at block trips `block`:
+  ///   DA = prod_dims (1 + sum_l |c_l| * (b_l - 1)),
+  /// summed over each dimension's nonzero coefficients only. That is
+  /// TilingSpec::footprint_elems's hi - lo + 1 (constant offsets cancel), so
+  /// the integers are the same, signed coefficients included. The product
+  /// runs over the dimensions in order with a checked multiply: false, with
+  /// *out untouched, when it overflows int64.
+  bool footprint(std::size_t a, const std::int64_t* block,
+                 std::int64_t* out) const {
+    std::int64_t total = 1;
+    for (std::size_t d = dim_begin_[a]; d < dim_begin_[a + 1]; ++d) {
+      std::int64_t range = 1;
+      for (std::size_t t = term_begin_[d]; t < term_begin_[d + 1]; ++t) {
+        range += terms_[t].abs_coeff * (block[terms_[t].loop] - 1);
+      }
+      if (!checked_mul(total, range, &total)) return false;
+    }
+    *out = total;
+    return true;
+  }
+
+  /// footprint() of every access into fp[a]; false on the first overflow.
+  bool footprints(const std::int64_t* block, std::int64_t* fp) const {
+    for (std::size_t a = 0; a < num_accesses(); ++a) {
+      if (!footprint(a, block, &fp[a])) return false;
+    }
+    return true;
+  }
 
   /// prod_l ceil(N_l / b_l), as TilingSpec::num_blocks.
   std::int64_t num_blocks(const std::int64_t* block) const;
@@ -153,11 +183,18 @@ class LayerConstants {
   }
 
  private:
+  /// One nonzero coefficient of one access dimension.
+  struct Term {
+    std::size_t loop;
+    std::int64_t abs_coeff;
+  };
+
   std::vector<std::int64_t> trips_;
-  /// Access a's dimensions are dims_[access_begin_[a], access_begin_[a + 1]).
-  std::vector<std::size_t> access_begin_;
-  /// Per dimension: the constant offset, then one coefficient per loop.
-  std::vector<std::int64_t> dims_;
+  /// Access a's dimensions are [dim_begin_[a], dim_begin_[a + 1]), and
+  /// dimension d's terms are terms_[term_begin_[d], term_begin_[d + 1]).
+  std::vector<std::size_t> dim_begin_;
+  std::vector<std::size_t> term_begin_;
+  std::vector<Term> terms_;
   std::vector<double> bytes_per_elem_;
 };
 

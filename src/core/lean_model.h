@@ -1,11 +1,13 @@
 // Flattened, allocation-free evaluator of Eqs. 1 and 5-10 for the search
 // inner loops: the phase-1 reuse DFS (core/dse.cpp) scores every leaf and
 // every corner bound with it, and the unified stage-2 DFS (core/unified.cpp)
-// scores its corner bounds with it. All model semantics are identical to
-// the layer evaluator's (core/layer_eval.h; tests assert the equivalence);
-// only the floating-point operation order differs, which is why the bounds
-// built on it carry a (1 + 1e-9) margin (docs/MODEL.md, "Dominance
-// pruning").
+// scores its corner bounds with it. Eq. 5 is the layer evaluator's own
+// kernel (LayerConstants::footprint, core/layer_eval.h), so the footprints
+// are the same integers in both searches. Eqs. 6-10 are written here a
+// second time, in a different floating-point operation order from the
+// layer evaluator's (MT as ops * bw / bytes), which is why the bounds built
+// on it carry a (1 + 1e-9) margin (docs/MODEL.md, "Dominance pruning");
+// tests assert the two agree on every integer.
 #pragma once
 
 #include <algorithm>
@@ -14,7 +16,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/resource_model.h"
+#include "core/layer_eval.h"
 #include "fpga/datatype.h"
 #include "fpga/device.h"
 #include "loopnest/loop_nest.h"
@@ -34,7 +36,14 @@ bool has_stride1_accesses(const LoopNest& nest);
 class LeanModel {
  public:
   LeanModel(const LoopNest& nest, const FpgaDevice& device, DataType dtype,
-            double freq_mhz);
+            double freq_mhz)
+      : layer_(nest, dtype),
+        device_(device),
+        freq_ghz_(freq_mhz * 1e-3),
+        total_iters_(nest.total_iterations()) {}
+
+  /// The layer's Eq. 5 kernel and bytes per element, which this model reads.
+  const LayerConstants& layer() const { return layer_; }
 
   struct Eval {
     double eff = 0.0;
@@ -49,9 +58,10 @@ class LeanModel {
   /// the array-shape quantization wastes computation). Constant across the
   /// reuse search for a fixed shape.
   double efficiency(const std::vector<std::int64_t>& inner) const {
+    const std::vector<std::int64_t>& trips = layer_.trips();
     double executed = 1.0;
-    for (std::size_t l = 0; l < num_loops_; ++l) {
-      executed *= static_cast<double>(ceil_div(trips_[l], inner[l]) * inner[l]);
+    for (std::size_t l = 0; l < trips.size(); ++l) {
+      executed *= static_cast<double>(ceil_div(trips[l], inner[l]) * inner[l]);
     }
     return static_cast<double>(total_iters_) / executed;
   }
@@ -67,8 +77,8 @@ class LeanModel {
 
   /// The rate alone: eff, pt_gops, mt_gops and throughput_gops are
   /// bit-identical to evaluate()'s (one code path); bram_blocks is INT64_MAX
-  /// on a footprint overflow and 0 otherwise. The unified corner bound
-  /// reads nothing else.
+  /// on a footprint overflow and 0 otherwise. The corner bounds of both
+  /// searches and phase 1's per-item MT refinement read nothing else.
   Eval rate(const std::vector<std::int64_t>& block, double eff,
             std::int64_t lanes) const {
     return evaluate_impl<true, false>(block, eff, lanes, 0);
@@ -92,10 +102,11 @@ class LeanModel {
     double macs_per_block = 1.0;
     double num_blocks = 1.0;
     if constexpr (kRate) {
-      for (std::size_t l = 0; l < num_loops_; ++l) {
+      const std::vector<std::int64_t>& trips = layer_.trips();
+      for (std::size_t l = 0; l < trips.size(); ++l) {
         macs_per_block *= static_cast<double>(block[l]);
         if constexpr (kBram) {
-          num_blocks *= static_cast<double>(ceil_div(trips_[l], block[l]));
+          num_blocks *= static_cast<double>(ceil_div(trips[l], block[l]));
         }
       }
     }
@@ -105,32 +116,27 @@ class LeanModel {
     double min_port_gops = 1e300;
     const double eff_ops_per_block = out.eff * 2.0 * macs_per_block;
     std::int64_t bram = 0;
-    for (const AccessInfo& info : accesses_) {
-      std::int64_t footprint = 1;
-      for (const auto& coeffs : info.dims) {
-        std::int64_t range = 1;
-        for (std::size_t l = 0; l < num_loops_; ++l) {
-          range += coeffs[l] * (block[l] - 1);
-        }
-        if (!checked_mul(footprint, range, &footprint)) {
-          // A buffer footprint that overflows int64 cannot fit any device;
-          // reject the shape instead of feeding wrapped (possibly negative)
-          // sizes into the BRAM model below.
-          out.bram_blocks = std::numeric_limits<std::int64_t>::max();
-          return out;
-        }
+    for (std::size_t a = 0; a < layer_.num_accesses(); ++a) {
+      std::int64_t footprint = 0;
+      if (!layer_.footprint(a, block.data(), &footprint)) {
+        // A buffer footprint that overflows int64 cannot fit any device;
+        // reject the shape instead of feeding wrapped sizes into the BRAM
+        // model below.
+        out.bram_blocks = std::numeric_limits<std::int64_t>::max();
+        return out;
       }
+      const double bytes_per_elem = layer_.bytes_per_elem(a);
       if constexpr (kBram) {
         const double bytes =
             2.0 * static_cast<double>(round_up_pow2(footprint)) *
-            info.bytes_per_elem;
+            bytes_per_elem;
         bram += static_cast<std::int64_t>(std::ceil(
                     bytes / static_cast<double>(device_.bram_bytes()))) +
                 device_.bram_const_per_buffer;
       }
       if constexpr (kRate) {
         const double stream_bytes =
-            static_cast<double>(footprint) * info.bytes_per_elem;
+            static_cast<double>(footprint) * bytes_per_elem;
         total_bytes += stream_bytes;
         min_port_gops = std::min(
             min_port_gops,
@@ -155,17 +161,10 @@ class LeanModel {
     return out;
   }
 
-  struct AccessInfo {
-    std::vector<std::vector<std::int64_t>> dims;  ///< coeff per (dim, loop)
-    double bytes_per_elem = 0.0;
-  };
-
+  LayerConstants layer_;
   const FpgaDevice& device_;
   double freq_ghz_;
-  std::size_t num_loops_ = 0;
-  std::vector<std::int64_t> trips_;
-  std::int64_t total_iters_ = 0;
-  std::vector<AccessInfo> accesses_;
+  std::int64_t total_iters_;
 };
 
 }  // namespace sasynth

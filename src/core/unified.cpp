@@ -246,15 +246,19 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   const std::int64_t bram_budget = static_cast<std::int64_t>(
       dse.max_bram_util * static_cast<double>(device.bram_blocks));
 
-  // Leaves are scored by the layer evaluator (core/layer_eval.h) on
-  // constants built once per layer nest here and shared read-only by every
-  // worker; a leaf allocates nothing.
-  std::vector<LayerConstants> layers;
-  layers.reserve(nests.size());
+  // One LeanModel per layer nest, built once here and shared read-only by
+  // every worker. Its LayerConstants hold the layer's Eq. 5 kernel: leaves
+  // and BRAM probes score them through the layer evaluator
+  // (core/layer_eval.h) and allocate nothing, and the corner bound reads
+  // the model's rate.
+  std::vector<LeanModel> models;
+  std::vector<char> stride1;
+  models.reserve(nests.size());
   std::size_t max_accesses = 0;
   for (const LoopNest& nest : nests) {
-    layers.emplace_back(nest, dtype);
-    max_accesses = std::max(max_accesses, layers.back().num_accesses());
+    models.emplace_back(nest, device, dtype, freq);
+    stride1.push_back(has_stride1_accesses(nest) ? 1 : 0);
+    max_accesses = std::max(max_accesses, models.back().layer().num_accesses());
   }
   const double total_ops = static_cast<double>(net.total_ops());
 
@@ -262,19 +266,9 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
   // entry holds a best leaf and only under bound_prune, so `bound_prune 0`
   // keeps the unbounded DFS as the oracle:
   //  - the DFS skips a middle-bound subtree whose corner aggregate cannot
-  //    beat the incumbent. The corner is scored by one LeanModel per layer
-  //    nest, built once here and shared read-only by every worker;
+  //    beat the incumbent;
   //  - a leaf stops once its partial latency proves it cannot beat it.
   const bool incumbent_skip = dse.bound_prune;
-  std::vector<LeanModel> models;
-  std::vector<char> stride1;
-  if (incumbent_skip) {
-    models.reserve(nests.size());
-    for (const LoopNest& nest : nests) {
-      models.emplace_back(nest, device, dtype, freq);
-      stride1.push_back(has_stride1_accesses(nest) ? 1 : 0);
-    }
-  }
 
   // Stage 2 is the expensive half (a DFS over middle bounds re-evaluating
   // every layer at each leaf); each shortlist entry is independent, so the
@@ -297,17 +291,17 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
     for (std::size_t i = 0; i < models.size(); ++i) {
       lean_eff[i] = models[i].efficiency(inner);
     }
-    std::vector<double> eff(layers.size());
-    std::vector<double> pt(layers.size());
-    for (std::size_t i = 0; i < layers.size(); ++i) {
+    std::vector<double> eff(models.size());
+    std::vector<double> pt(models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
       eff[i] = efficiency_for_inner(nests[i], inner);
       pt[i] = pt_gops(eff[i], lanes, freq);
     }
     // Leaf buffers, reused by every leaf of the entry.
     std::vector<std::int64_t> block(n, 0);
-    std::vector<std::int64_t> fp(layers.size() * max_accesses);
+    std::vector<std::int64_t> fp(models.size() * max_accesses);
     std::vector<double> ports(max_accesses);
-    std::vector<LayerEval> evals(layers.size());
+    std::vector<LayerEval> evals(models.size());
     SearchCounts counts;
 
     std::vector<std::vector<std::int64_t>> cand(n);
@@ -345,10 +339,11 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       // aggregate fails `better`, the full aggregate fails it too.
       const bool early_exit = incumbent_skip && found;
       double latency_ms = 0.0;
-      for (std::size_t i = 0; i < layers.size(); ++i) {
-        const LayerConstants& layer = layers[i];
+      for (std::size_t i = 0; i < models.size(); ++i) {
+        const LayerConstants& layer = models[i].layer();
         std::int64_t* layer_fp = &fp[i * max_accesses];
-        layer.footprints(block.data(), layer_fp);
+        // An overflowing footprint cannot fit any BRAM budget.
+        if (!layer.footprints(block.data(), layer_fp)) return;
         evals[i] = evaluate_layer_rates(layer.num_accesses(),
                                         layer.terms(layer_fp), eff[i], pt[i],
                                         macs_per_block, device, ports.data());
@@ -363,8 +358,8 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       }
       std::int64_t max_bram = 0;
       double traffic = 0.0;
-      for (std::size_t i = 0; i < layers.size(); ++i) {
-        const LayerConstants& layer = layers[i];
+      for (std::size_t i = 0; i < models.size(); ++i) {
+        const LayerConstants& layer = models[i].layer();
         evals[i].bram_blocks = evaluate_layer_bram(
             layer.num_accesses(), layer.terms(&fp[i * max_accesses]), num_pes,
             device);
@@ -390,7 +385,7 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       }
     };
 
-    const LayerConstants& front = layers.front();
+    const LayerConstants& front = models.front().layer();
     auto dfs = [&](auto&& self, std::size_t depth) -> void {
       // The margin covers the two evaluators' rounding and the 1e-12 tie
       // window of `better`: a skipped leaf could not replace the incumbent.
@@ -412,12 +407,13 @@ std::vector<UnifiedCandidate> enumerate_unified_candidates(
       }
       for (const std::int64_t s : cand[depth]) {
         current[depth] = s;
-        // Monotone BRAM prune: minimal suffix on the first layer's nest.
+        // Monotone BRAM prune: minimal suffix on the first layer's nest (an
+        // overflowing footprint counts as over the budget).
         for (std::size_t l = 0; l < n; ++l) {
           block[l] = (l <= depth ? current[l] : 1) * inner[l];
         }
-        front.footprints(block.data(), fp.data());
-        if (evaluate_layer_bram(front.num_accesses(), front.terms(fp.data()),
+        if (!front.footprints(block.data(), fp.data()) ||
+            evaluate_layer_bram(front.num_accesses(), front.terms(fp.data()),
                                 num_pes, device) > bram_budget) {
           break;
         }

@@ -135,7 +135,11 @@ ScopedSpan::~ScopedSpan() {
 }
 
 void ScopedSpan::arg(const char* key, std::int64_t value) {
-  if (active_) args_.emplace_back(key, value);
+  if (!active_) return;
+  // One allocation for a span's few args (no span carries more than 4),
+  // not one per growth step.
+  if (args_.empty()) args_.reserve(4);
+  args_.emplace_back(key, value);
 }
 
 double ScopedSpan::elapsed_seconds() const {

@@ -1,27 +1,12 @@
 #include "util/math_util.h"
 
-#include <bit>
 #include <cassert>
 #include <limits>
 
 namespace sasynth {
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  assert(b > 0);
-  assert(a >= 0);
-  return (a + b - 1) / b;
-}
-
 std::int64_t round_up(std::int64_t a, std::int64_t b) {
   return ceil_div(a, b) * b;
-}
-
-std::int64_t round_up_pow2(std::int64_t a) {
-  assert(a >= 1);
-  // 2^62 is the largest int64 power of two; anything above it saturates.
-  constexpr std::int64_t kMaxPow2 = std::int64_t{1} << 62;
-  if (a > kMaxPow2) return std::numeric_limits<std::int64_t>::max();
-  return static_cast<std::int64_t>(std::bit_ceil(static_cast<std::uint64_t>(a)));
 }
 
 bool is_pow2(std::int64_t a) {
@@ -50,10 +35,6 @@ std::int64_t gcd(std::int64_t a, std::int64_t b) {
     b = t;
   }
   return a;
-}
-
-bool checked_mul(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return !__builtin_mul_overflow(a, b, out);
 }
 
 std::int64_t sat_mul(std::int64_t a, std::int64_t b) {

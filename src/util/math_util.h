@@ -6,14 +6,21 @@
 // paper are built from.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace sasynth {
 
 /// Ceiling division for non-negative integers. ceil_div(0, b) == 0.
 /// Precondition: b > 0.
-std::int64_t ceil_div(std::int64_t a, std::int64_t b);
+inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  assert(b > 0);
+  assert(a >= 0);
+  return (a + b - 1) / b;
+}
 
 /// Rounds `a` up to the next multiple of `b`. Precondition: b > 0, a >= 0.
 std::int64_t round_up(std::int64_t a, std::int64_t b);
@@ -22,7 +29,14 @@ std::int64_t round_up(std::int64_t a, std::int64_t b);
 /// INT64_MAX when the next power of two does not fit in int64 (a > 2^62).
 /// This models the Intel OpenCL flow's buffer allocation, which rounds
 /// memory sizes up to powers of two (paper §3.3, Eq. 6).
-std::int64_t round_up_pow2(std::int64_t a);
+inline std::int64_t round_up_pow2(std::int64_t a) {
+  assert(a >= 1);
+  // 2^62 is the largest int64 power of two; anything above it saturates.
+  constexpr std::int64_t kMaxPow2 = std::int64_t{1} << 62;
+  if (a > kMaxPow2) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(
+      std::bit_ceil(static_cast<std::uint64_t>(a)));
+}
 
 /// True if a is a power of two (a >= 1).
 bool is_pow2(std::int64_t a);
@@ -38,7 +52,9 @@ std::int64_t gcd(std::int64_t a, std::int64_t b);
 
 /// Checked multiply: *out = a * b and true, or false when the product does
 /// not fit in int64 (*out unspecified). Non-negative inputs.
-bool checked_mul(std::int64_t a, std::int64_t b, std::int64_t* out);
+inline bool checked_mul(std::int64_t a, std::int64_t b, std::int64_t* out) {
+  return !__builtin_mul_overflow(a, b, out);
+}
 
 /// Saturating multiply for non-negative inputs: a * b, or INT64_MAX on
 /// overflow. A footprint/size that saturates always fails any resource

@@ -94,10 +94,11 @@ TEST(DseParallelTest, Phase1FullDumpIdenticalAcrossJobs) {
 }
 
 TEST(DseParallelTest, Phase1CpuSecondsCountsTheSeedWalk) {
-  // At one job the seed walk and the sweep both run on the calling thread,
-  // so nearly all of phase 1's wall time is busy time. The serial seed walk
-  // is part of it: a busy timer that covered only the parallel sweep's
-  // shards would report a small fraction of the wall time here.
+  // At one job every stage of phase 1 runs on the calling thread, so
+  // nearly all of its wall time is busy time. The serial stages are part of
+  // it: enumeration, the bound pass, the seed walk and the merge. A busy
+  // timer that covered only the parallel sweep's shards would report a
+  // small fraction of the wall time here.
   const Network net = make_alexnet();
   const ConvLayerDesc* conv3 = net.find_layer("conv3");
   ASSERT_NE(conv3, nullptr);

@@ -3,15 +3,19 @@
 // arithmetic as written before the evaluator existed, with
 // closed_form_footprint over the block domain as the footprint reference.
 // Both the evaluator on precomputed LayerConstants (the unified stage-2
-// leaf's path) and the public views must reproduce it exactly.
+// leaf's path) and the public views must reproduce it exactly. The search
+// model LeanModel, which reads LayerConstants' Eq. 5 kernel, is pinned the
+// same way against its own dense formula further down.
 #include "core/layer_eval.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/lean_model.h"
 #include "core/perf_model.h"
 #include "core/resource_model.h"
 #include "loopnest/conv_nest.h"
@@ -117,8 +121,12 @@ void expect_matches_reference(const LoopNest& nest, const DesignPoint& design,
     const TilingSpec& tiling = design.tiling();
     const std::vector<std::int64_t> block = tiling.block_trips();
     std::vector<std::int64_t> fp(constants.num_accesses());
-    constants.footprints(block.data(), fp.data());
+    ASSERT_TRUE(constants.footprints(block.data(), fp.data())) << where;
     EXPECT_EQ(fp, ref.footprints) << where;
+    for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
+      EXPECT_EQ(fp[a], tiling.footprint_elems(nest.accesses()[a].access))
+          << where;
+    }
     const double eff = efficiency_for_inner(nest, tiling.inner_bounds());
     EXPECT_EQ(eff, ref.perf.eff) << where;
     const double pt = pt_gops(eff, design.num_lanes(), freq_mhz);
@@ -138,6 +146,12 @@ void expect_matches_reference(const LoopNest& nest, const DesignPoint& design,
               ref.bram_blocks)
         << where;
     EXPECT_EQ(constants.num_blocks(block.data()), ref.perf.num_blocks) << where;
+
+    // LeanModel reads the same kernel, so its Eq. 6 integer is the public
+    // model's, signed coefficients included.
+    const LeanModel lean(nest, device, dtype, freq_mhz);
+    EXPECT_EQ(lean.bram_only(block, design.shape().num_pes()), ref.bram_blocks)
+        << where;
   }
 }
 
@@ -190,6 +204,173 @@ TEST(LayerEval, MatchesReferenceOnSignedAccesses) {
   EXPECT_EQ(design.tiling().footprint_elems(nest.accesses()[0].access),
             20 * 10);
   expect_matches_reference(nest, design, "signed");
+}
+
+/// LeanModel as written before it read LayerConstants' Eq. 5 kernel: dense
+/// coefficient rows, 1 + sum_l c_l * (b_l - 1) per dimension, a checked
+/// product, then Eqs. 6-10 in LeanModel's operation order. On every nest
+/// the searches see (all coefficients >= 0) the model must reproduce it
+/// bit for bit.
+class DenseLeanReference {
+ public:
+  DenseLeanReference(const LoopNest& nest, const FpgaDevice& device,
+                     DataType dtype, double freq_mhz)
+      : device_(device),
+        freq_ghz_(freq_mhz * 1e-3),
+        trips_(nest.trip_counts()),
+        total_iters_(nest.total_iterations()) {
+    for (std::size_t a = 0; a < nest.num_accesses(); ++a) {
+      Access access;
+      for (const AffineExpr& dim : nest.accesses()[a].access.indices) {
+        std::vector<std::int64_t> coeffs(trips_.size());
+        for (std::size_t l = 0; l < trips_.size(); ++l) {
+          coeffs[l] = dim.coeff(l);
+        }
+        access.dims.push_back(std::move(coeffs));
+      }
+      access.bytes_per_elem = bytes_per_element(dtype, nest, a);
+      accesses_.push_back(std::move(access));
+    }
+  }
+
+  double efficiency(const std::vector<std::int64_t>& inner) const {
+    double executed = 1.0;
+    for (std::size_t l = 0; l < trips_.size(); ++l) {
+      executed *= static_cast<double>(ceil_div(trips_[l], inner[l]) * inner[l]);
+    }
+    return static_cast<double>(total_iters_) / executed;
+  }
+
+  LeanModel::Eval evaluate(const std::vector<std::int64_t>& block, double eff,
+                           std::int64_t lanes, std::int64_t num_pes) const {
+    LeanModel::Eval out;
+    out.eff = eff;
+    double macs_per_block = 1.0;
+    double num_blocks = 1.0;
+    for (std::size_t l = 0; l < trips_.size(); ++l) {
+      macs_per_block *= static_cast<double>(block[l]);
+      num_blocks *= static_cast<double>(ceil_div(trips_[l], block[l]));
+    }
+    double total_bytes = 0.0;
+    double min_port_gops = 1e300;
+    const double eff_ops_per_block = out.eff * 2.0 * macs_per_block;
+    std::int64_t bram = 0;
+    for (const Access& access : accesses_) {
+      std::int64_t footprint = 1;
+      for (const std::vector<std::int64_t>& coeffs : access.dims) {
+        std::int64_t range = 1;
+        for (std::size_t l = 0; l < trips_.size(); ++l) {
+          range += coeffs[l] * (block[l] - 1);
+        }
+        if (!checked_mul(footprint, range, &footprint)) {
+          out.bram_blocks = std::numeric_limits<std::int64_t>::max();
+          return out;
+        }
+      }
+      const double bytes = 2.0 * static_cast<double>(round_up_pow2(footprint)) *
+                           access.bytes_per_elem;
+      bram += static_cast<std::int64_t>(std::ceil(
+                  bytes / static_cast<double>(device_.bram_bytes()))) +
+              device_.bram_const_per_buffer;
+      const double stream_bytes =
+          static_cast<double>(footprint) * access.bytes_per_elem;
+      total_bytes += stream_bytes;
+      min_port_gops =
+          std::min(min_port_gops,
+                   eff_ops_per_block * device_.bw_port_gbs / stream_bytes);
+    }
+    bram += static_cast<std::int64_t>(
+        std::ceil(device_.bram_per_pe * static_cast<double>(num_pes)));
+    out.bram_blocks = bram;
+    out.pt_gops = out.eff * static_cast<double>(lanes) * 2.0 * freq_ghz_;
+    out.mt_gops =
+        std::min(eff_ops_per_block * device_.bw_total_gbs / total_bytes,
+                 min_port_gops);
+    out.throughput_gops = std::min(out.pt_gops, out.mt_gops);
+    out.dram_traffic_bytes = num_blocks * total_bytes;
+    return out;
+  }
+
+ private:
+  struct Access {
+    std::vector<std::vector<std::int64_t>> dims;  ///< coeff per (dim, loop)
+    double bytes_per_elem = 0.0;
+  };
+
+  const FpgaDevice& device_;
+  double freq_ghz_;
+  std::vector<std::int64_t> trips_;
+  std::int64_t total_iters_;
+  std::vector<Access> accesses_;
+};
+
+void expect_evals_equal(const LeanModel::Eval& got,
+                        const LeanModel::Eval& want, const std::string& where) {
+  EXPECT_EQ(got.eff, want.eff) << where;
+  EXPECT_EQ(got.bram_blocks, want.bram_blocks) << where;
+  EXPECT_EQ(got.pt_gops, want.pt_gops) << where;
+  EXPECT_EQ(got.mt_gops, want.mt_gops) << where;
+  EXPECT_EQ(got.throughput_gops, want.throughput_gops) << where;
+  EXPECT_EQ(got.dram_traffic_bytes, want.dram_traffic_bytes) << where;
+}
+
+TEST(LeanModelPin, MatchesDenseReferenceOnRandomConvNests) {
+  const FpgaDevice device = arria10_gt1150();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(20261020);
+  for (int trial = 0; trial < 40; ++trial) {
+    const ConvLayerDesc layer = make_conv(
+        "rand", rng.next_range(1, 48), rng.next_range(1, 48),
+        rng.next_range(1, 28), rng.next_range(1, 4) * 2 - 1,
+        rng.next_range(1, 4), rng.next_range(1, 3));
+    const LoopNest nest = build_conv_nest(layer);
+    const std::size_t n = nest.num_loops();
+    for (const DataType dtype : {DataType::kFloat32, DataType::kFixed8_16}) {
+      const std::string label = layer.summary() + " " + data_type_name(dtype);
+      const double freq_mhz = rng.next_double(150.0, 400.0);
+      const LeanModel model(nest, device, dtype, freq_mhz);
+      const DenseLeanReference ref(nest, device, dtype, freq_mhz);
+      std::vector<std::int64_t> inner(n);
+      std::vector<std::int64_t> block(n);
+      for (int draw = 0; draw < 16; ++draw) {
+        const std::string where = label + " draw " + std::to_string(draw);
+        std::int64_t lanes = 1;
+        for (std::size_t l = 0; l < n; ++l) {
+          const std::int64_t trip = nest.loop(l).trip;
+          inner[l] = rng.next_range(1, std::min<std::int64_t>(trip, 8));
+          block[l] = inner[l] * rng.next_range(1, ceil_div(trip, inner[l]) + 1);
+          lanes *= inner[l];
+        }
+        const std::int64_t num_pes = rng.next_range(1, 512);
+        const double eff = model.efficiency(inner);
+        EXPECT_EQ(eff, ref.efficiency(inner)) << where;
+
+        const LeanModel::Eval full = model.evaluate(block, eff, lanes, num_pes);
+        expect_evals_equal(full, ref.evaluate(block, eff, lanes, num_pes),
+                           where);
+        ASSERT_NE(full.bram_blocks, kMax) << where;
+        const LeanModel::Eval rate = model.rate(block, eff, lanes);
+        EXPECT_EQ(rate.eff, full.eff) << where;
+        EXPECT_EQ(rate.pt_gops, full.pt_gops) << where;
+        EXPECT_EQ(rate.mt_gops, full.mt_gops) << where;
+        EXPECT_EQ(rate.throughput_gops, full.throughput_gops) << where;
+        EXPECT_EQ(rate.bram_blocks, 0) << where;
+        EXPECT_EQ(model.bram_only(block, num_pes), full.bram_blocks) << where;
+      }
+
+      // A block whose footprint overflows int64 returns the sentinel on
+      // every path, with every rate 0, as the dense formula did.
+      const std::vector<std::int64_t> huge(n, std::int64_t{1} << 40);
+      const LeanModel::Eval over = model.evaluate(huge, 0.5, 8, 4);
+      EXPECT_EQ(over.bram_blocks, kMax) << label;
+      EXPECT_EQ(over.throughput_gops, 0.0) << label;
+      expect_evals_equal(over, ref.evaluate(huge, 0.5, 8, 4), label);
+      EXPECT_EQ(model.rate(huge, 0.5, 8).bram_blocks, kMax) << label;
+      EXPECT_EQ(model.bram_only(huge, 4), kMax) << label;
+      std::int64_t fp = 0;
+      EXPECT_FALSE(model.layer().footprint(0, huge.data(), &fp)) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -188,12 +188,15 @@ TEST(TcpDeadlineTest, ColdRequestTimesOutWithinBudgetOverTcp) {
 
   const int client = connect_loopback(runner.port());
   ASSERT_GE(client, 0);
-  // bound_prune off: the branch-and-bound sweep finishes this layer well
-  // inside 500 ms, and the scenario needs a cold DSE that cannot.
+  // bound_prune and pow2_middle off: the branch-and-bound sweep, and even
+  // the exhaustive sweep over power-of-two middle bounds, finish this layer
+  // inside 500 ms, and the scenario needs a cold DSE that cannot (the
+  // all-integer exhaustive sweep takes ~2.6 s at 4 jobs on a 4-vCPU host).
   const std::string request =
       "sasynth-request v1\n"
       "layer 48,128,13,13,3\n"
       "option bound_prune 0\n"
+      "option pow2_middle 0\n"
       "deadline_ms 500\n"
       "end\n";
   const auto sent_at = std::chrono::steady_clock::now();
